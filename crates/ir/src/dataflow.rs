@@ -32,8 +32,8 @@
 
 use crate::eval::Evaluator;
 use crate::op::{BinKind, IrInsn, Place, SemOp, Target};
+use crate::trace::Trace;
 use snids_x86::{Gpr, Location, Reg};
-use std::collections::HashMap;
 
 /// Abstract value of one register at one program point.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -239,10 +239,11 @@ fn written_gprs(insn: &IrInsn) -> u8 {
     mask
 }
 
-/// Run the dataflow pass over an execution-order op sequence (a
-/// [`crate::Trace`]'s `ops`). The ops must already be annotated by the
-/// constant evaluator (as [`crate::trace_from`] leaves them).
-pub fn analyze(ops: &[IrInsn], budget: &DataflowBudget) -> Dataflow {
+/// Run the dataflow pass over an execution-order [`Trace`] (annotated by
+/// the constant evaluator, as [`crate::FrameCode::trace_into`] leaves it).
+/// Branch targets resolve through the trace's own offset index.
+pub fn analyze(trace: &Trace, budget: &DataflowBudget) -> Dataflow {
+    let ops = &trace.ops[..];
     let mut df = Dataflow::default();
     let n = ops.len().min(budget.max_ops);
     if n < ops.len() {
@@ -250,13 +251,6 @@ pub fn analyze(ops: &[IrInsn], budget: &DataflowBudget) -> Dataflow {
     }
     df.defs.reserve(n);
     df.vals.reserve(n);
-
-    let off_to_idx: HashMap<usize, usize> = ops
-        .iter()
-        .take(n)
-        .enumerate()
-        .map(|(i, op)| (op.offset, i))
-        .collect();
 
     // The evaluator replays the same constant propagation that annotated
     // the trace, giving us the full register state between ops (the
@@ -347,7 +341,7 @@ pub fn analyze(ops: &[IrInsn], budget: &DataflowBudget) -> Dataflow {
             | SemOp::Jcc(_, Target::Off(t))
             | SemOp::LoopOp(Target::Off(t))
             | SemOp::Jecxz(Target::Off(t)) => {
-                if let Some(&head) = usize::try_from(*t).ok().and_then(|t| off_to_idx.get(&t)) {
+                if let Some(head) = usize::try_from(*t).ok().and_then(|t| trace.index_of(t)) {
                     if head <= idx {
                         let mut written = 0u8;
                         for op in &ops[head..=idx] {
@@ -398,7 +392,7 @@ mod tests {
 
     fn flow(code: &[u8]) -> (crate::Trace, Dataflow) {
         let t = trace_from(code, 0, 4096);
-        let df = analyze(&t.ops, &DataflowBudget::default());
+        let df = analyze(&t, &DataflowBudget::default());
         (t, df)
     }
 
@@ -476,7 +470,7 @@ mod tests {
         let code = [0x40u8; 64]; // 64 × inc eax
         let t = trace_from(&code, 0, 4096);
         let df = analyze(
-            &t.ops,
+            &t,
             &DataflowBudget {
                 max_ops: 8,
                 max_links: 4,
@@ -501,7 +495,7 @@ mod tests {
     /// Empty input yields an empty, non-exhausted result.
     #[test]
     fn empty_trace_is_fine() {
-        let df = analyze(&[], &DataflowBudget::default());
+        let df = analyze(&Trace::default(), &DataflowBudget::default());
         assert!(!df.exhausted);
         assert!(df.mem_writes.is_empty() && df.links.is_empty());
     }

@@ -182,6 +182,13 @@ impl Evaluator {
         &self.state
     }
 
+    /// Forget everything, keeping the stack's allocation — one evaluator
+    /// serves every trace of a frame.
+    pub fn reset(&mut self) {
+        self.state.regs = Default::default();
+        self.state.stack.clear();
+    }
+
     /// Advance the abstract state over one (already-annotated) op without
     /// re-annotating it — the dataflow pass replays a trace this way to
     /// snapshot the register state between ops.

@@ -16,12 +16,15 @@
 //!    paper: templates still match when the key is built by "added
 //!    sequences of stack and mathematic operations".
 
+pub mod arena;
 pub mod dataflow;
 pub mod eval;
 pub mod lift;
 pub mod op;
+pub mod oracle;
 pub mod trace;
 
+pub use arena::FrameCode;
 pub use dataflow::{AbsVal, Advance, Dataflow, DataflowBudget, DefUseLink, LoopSpan, MemWrite};
 pub use eval::{AbstractState, Evaluator};
 pub use lift::lift;

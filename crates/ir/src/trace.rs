@@ -14,60 +14,87 @@
 //! path, which is where the decrypted payload continues). Each visited
 //! offset is recorded so cyclic control flow terminates.
 
-use crate::eval;
-use crate::lift::lift;
-use crate::op::{IrInsn, SemOp, Target};
-use snids_x86::{decode, SweepBudget};
-use std::collections::HashSet;
+use crate::arena::FrameCode;
+use crate::op::{IrInsn, SemOp};
+use snids_x86::SweepBudget;
 
 /// An execution-order instruction sequence with constant annotations.
-#[derive(Debug, Clone)]
+///
+/// A trace doubles as a reusable buffer: [`FrameCode::trace_into`] refills
+/// one `Trace` for every start of a frame, so neither the op vector nor the
+/// offset index is reallocated per start.
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// The offset the walk started at.
     pub start: usize,
     /// The ops in execution order, annotated by the constant evaluator.
     pub ops: Vec<IrInsn>,
+    /// Dense offset → position-in-`ops` table, one entry per frame byte:
+    /// `generation << 32 | position`. Entries stamped with an older
+    /// generation belong to an earlier trace and read as absent, so
+    /// starting the next trace costs one increment, not a clear. This is
+    /// the walk's visited set *and* the index the matchers and the dataflow
+    /// pass resolve branch targets through.
+    index: Vec<u64>,
+    generation: u32,
 }
 
 /// Default cap on trace length; generous for shellcode-sized inputs.
 pub const MAX_TRACE_OPS: usize = 4096;
 
 /// Build the execution-order trace starting at `start`.
+///
+/// A one-off convenience: it builds a [`FrameCode`] for a single walk.
+/// Anything that walks a frame from several starts should build one
+/// `FrameCode` and call [`FrameCode::trace_into`] per start.
 pub fn trace_from(buf: &[u8], start: usize, max_ops: usize) -> Trace {
-    let mut ops = Vec::new();
-    let mut visited: HashSet<usize> = HashSet::new();
-    let mut pos = start;
-
-    while pos < buf.len() && ops.len() < max_ops && visited.insert(pos) {
-        let insn = decode(buf, pos);
-        let ir = lift(&insn);
-        let next = insn.end();
-        let op = ir.op.clone();
-        ops.push(ir);
-        match op {
-            SemOp::Bad | SemOp::Ret => break,
-            SemOp::Jmp(Target::Off(t)) | SemOp::Call(Target::Off(t)) => {
-                let t_us = usize::try_from(t).ok();
-                match t_us {
-                    Some(t) if t < buf.len() && !visited.contains(&t) => pos = t,
-                    // A call whose target is the next byte (GetPC) or out of
-                    // range: fall through; a jmp with a bad target ends the
-                    // trace.
-                    _ if matches!(op, SemOp::Call(_)) => pos = next,
-                    _ => break,
-                }
-            }
-            SemOp::Jmp(Target::Indirect) => break,
-            // Conditional branches and loops: take the fall-through path.
-            _ => pos = next,
-        }
-    }
-
-    eval::annotate(&mut ops);
-    Trace { start, ops }
+    let mut trace = Trace::default();
+    FrameCode::new(buf).trace_into(start, max_ops, &mut trace);
+    trace
 }
 
 impl Trace {
+    /// A trace over already-annotated `ops` (no two at the same offset).
+    pub fn from_ops(start: usize, ops: Vec<IrInsn>) -> Trace {
+        let frame_len = ops.iter().map(|o| o.offset + 1).max().unwrap_or(0);
+        let mut trace = Trace::default();
+        trace.begin(start, frame_len);
+        for op in ops {
+            trace.mark(op.offset);
+            trace.ops.push(op);
+        }
+        trace
+    }
+
+    /// Position in [`Trace::ops`] of the op at byte `offset`, if the trace
+    /// executes one there.
+    pub fn index_of(&self, offset: usize) -> Option<usize> {
+        let entry = *self.index.get(offset)?;
+        ((entry >> 32) as u32 == self.generation).then_some(entry as u32 as usize)
+    }
+
+    /// Empty the trace for a new walk over a frame of `frame_len` bytes.
+    pub(crate) fn begin(&mut self, start: usize, frame_len: usize) {
+        self.start = start;
+        self.ops.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.index.len() != frame_len || self.generation == 0 {
+            self.index.clear();
+            self.index.resize(frame_len, 0);
+            self.generation = 1;
+        }
+    }
+
+    /// Record that the next op pushed sits at `offset`. False (and no
+    /// change) when the trace already executes that offset.
+    pub(crate) fn mark(&mut self, offset: usize) -> bool {
+        if self.index_of(offset).is_some() {
+            return false;
+        }
+        self.index[offset] = u64::from(self.generation) << 32 | self.ops.len() as u64;
+        true
+    }
+
     /// The non-`Nop` ops — what matchers iterate.
     pub fn effective_ops(&self) -> impl Iterator<Item = &IrInsn> {
         self.ops.iter().filter(|o| o.op != SemOp::Nop)
@@ -99,14 +126,7 @@ impl Trace {
 /// part) then run only from this small start set, where the naive
 /// (`[5]`-style) analyzer runs one from every byte offset.
 pub fn default_starts(buf: &[u8]) -> Vec<usize> {
-    default_starts_budgeted(
-        buf,
-        &SweepBudget {
-            max_instructions: usize::MAX,
-            max_bytes: usize::MAX,
-        },
-    )
-    .starts
+    default_starts_budgeted(buf, &SweepBudget::UNBOUNDED).starts
 }
 
 /// Result of a budgeted start discovery.
@@ -126,41 +146,7 @@ pub struct StartsOutcome {
 /// flow cannot buy unbounded start discovery, and the caller learns when
 /// input was left unexamined.
 pub fn default_starts_budgeted(buf: &[u8], budget: &SweepBudget) -> StartsOutcome {
-    let mut starts = vec![0usize];
-    let mut exhausted = false;
-    // Linear sweep: resynchronisation points.
-    let mut pos = 0usize;
-    let mut emitted = 0usize;
-    while pos < buf.len() {
-        if emitted >= budget.max_instructions || pos >= budget.max_bytes {
-            exhausted = true;
-            break;
-        }
-        let insn = decode(buf, pos);
-        emitted += 1;
-        if insn.mnemonic == snids_x86::Mnemonic::Bad && pos + 1 < buf.len() {
-            starts.push(pos + 1);
-        }
-        pos = insn.end();
-    }
-    // Sliding scan: branch targets from a decode at every offset.
-    let scan_end = buf.len().min(budget.max_bytes);
-    if scan_end < buf.len() {
-        exhausted = true;
-    }
-    for off in 0..scan_end {
-        let insn = decode(buf, off);
-        if let Some(t) = insn.branch_target() {
-            if let Ok(t) = usize::try_from(t) {
-                if t < buf.len() {
-                    starts.push(t);
-                }
-            }
-        }
-    }
-    starts.sort_unstable();
-    starts.dedup();
-    StartsOutcome { starts, exhausted }
+    FrameCode::discover(buf, budget).1
 }
 
 #[cfg(test)]

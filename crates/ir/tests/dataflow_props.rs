@@ -55,7 +55,7 @@ proptest! {
     ) {
         let t = trace_from(&buf, start.min(buf.len()), 1024);
         let budget = DataflowBudget::default();
-        let df = dataflow::analyze(&t.ops, &budget);
+        let df = dataflow::analyze(&t, &budget);
         prop_assert!(df.analyzed_ops() <= t.ops.len());
         assert_well_formed(&df, &budget);
     }
@@ -71,7 +71,7 @@ proptest! {
     ) {
         let t = trace_from(&buf, 0, 1024);
         let budget = DataflowBudget { max_ops, max_links };
-        let df = dataflow::analyze(&t.ops, &budget);
+        let df = dataflow::analyze(&t, &budget);
         assert_well_formed(&df, &budget);
         if t.ops.len() > max_ops {
             prop_assert!(df.exhausted, "unexamined ops must flag exhaustion");
@@ -97,7 +97,7 @@ proptest! {
         code.extend(std::iter::repeat_n(0x90, pad));
         code.push(0x50 + reg.index()); // push r: a read of r at the end
         let t = trace_from(&code, 0, 64);
-        let df = dataflow::analyze(&t.ops, &DataflowBudget::default());
+        let df = dataflow::analyze(&t, &DataflowBudget::default());
         let last = t.ops.len() - 1;
         prop_assert_eq!(df.val_at(last, reg), AbsVal::Const(v));
         prop_assert_eq!(df.def_at(last, reg), Some(0));
@@ -111,8 +111,8 @@ proptest! {
         small in 4usize..32,
     ) {
         let t = trace_from(&buf, 0, 1024);
-        let lo = dataflow::analyze(&t.ops, &DataflowBudget { max_ops: small, max_links: 1 << 16 });
-        let hi = dataflow::analyze(&t.ops, &DataflowBudget::default());
+        let lo = dataflow::analyze(&t, &DataflowBudget { max_ops: small, max_links: 1 << 16 });
+        let hi = dataflow::analyze(&t, &DataflowBudget::default());
         for idx in 0..lo.analyzed_ops() {
             for g in Gpr::ALL {
                 prop_assert_eq!(lo.def_at(idx, g), hi.def_at(idx, g));

@@ -8,8 +8,10 @@ use crate::slice::{compile_slice, match_slice, SliceRule};
 use crate::templates::default_templates;
 use serde::{Deserialize, Serialize};
 use snids_ir::dataflow::DataflowBudget;
-use snids_ir::{default_starts, default_starts_budgeted, trace_from, Trace};
+use snids_ir::{FrameCode, Trace};
 use snids_x86::SweepBudget;
+use std::ops::ControlFlow;
+use std::time::Instant;
 
 /// When the dataflow/slice pass runs relative to the instruction-run
 /// matcher (the `--dataflow` pipeline knob).
@@ -233,7 +235,8 @@ impl Analyzer {
 
     /// Analyze one binary frame, reporting all (deduplicated) matches.
     pub fn analyze(&self, frame: &[u8]) -> Vec<TemplateMatch> {
-        self.analyze_starts(frame, &default_starts(frame))
+        let (mut code, outcome) = FrameCode::discover(frame, &SweepBudget::UNBOUNDED);
+        self.fast_pass(&mut code, &outcome.starts, |_| {})
     }
 
     /// Analyze one frame under the configured [`SweepBudget`], reporting
@@ -241,9 +244,9 @@ impl Analyzer {
     /// pipeline uses this to attribute `decoder_bailout` drops at frame
     /// granularity instead of silently degrading detection.
     pub fn analyze_frame(&self, frame: &[u8]) -> FrameAnalysis {
-        let outcome = default_starts_budgeted(frame, &self.config.sweep_budget);
+        let (mut code, outcome) = FrameCode::discover(frame, &self.config.sweep_budget);
         FrameAnalysis {
-            matches: self.analyze_starts(frame, &outcome.starts),
+            matches: self.fast_pass(&mut code, &outcome.starts, |_| {}),
             sweep_exhausted: outcome.exhausted,
         }
     }
@@ -255,30 +258,25 @@ impl Analyzer {
     /// instruction-run matcher found nothing but the view may be corrupted
     /// by reassembly conflicts.
     pub fn analyze_frame_slices(&self, frame: &[u8]) -> SliceAnalysis {
-        let outcome = default_starts_budgeted(frame, &self.config.sweep_budget);
+        let (mut code, outcome) = FrameCode::discover(frame, &self.config.sweep_budget);
         let mut matches: Vec<TemplateMatch> = Vec::new();
         let mut dataflow_exhausted = false;
-        if self.slice_rules.is_empty() {
-            return SliceAnalysis {
-                matches,
-                sweep_exhausted: outcome.exhausted,
-                dataflow_exhausted,
-            };
-        }
-        for &start in &outcome.starts {
-            let trace = trace_from(frame, start, self.config.max_trace_ops);
-            let df = snids_ir::dataflow::analyze(&trace.ops, &self.config.dataflow_budget);
-            dataflow_exhausted |= df.exhausted;
-            for (ti, rule) in &self.slice_rules {
-                if let Some(m) = match_slice(&self.templates[*ti], rule, &trace, &df) {
-                    if !matches
-                        .iter()
-                        .any(|x| x.template == m.template && x.start == m.start)
-                    {
-                        matches.push(m);
+        if !self.slice_rules.is_empty() {
+            self.walk(
+                &mut code,
+                &outcome.starts,
+                |_| {},
+                |trace| {
+                    let df = snids_ir::dataflow::analyze(trace, &self.config.dataflow_budget);
+                    dataflow_exhausted |= df.exhausted;
+                    for (ti, rule) in &self.slice_rules {
+                        if let Some(m) = match_slice(&self.templates[*ti], rule, trace, &df) {
+                            push_unique(&mut matches, m);
+                        }
                     }
-                }
-            }
+                    ControlFlow::Continue(())
+                },
+            );
         }
         SliceAnalysis {
             matches,
@@ -290,49 +288,26 @@ impl Analyzer {
     /// [`Analyzer::analyze_frame`] with per-stage wall time reported back,
     /// so an instrumenting caller can attribute the frame's cost to start
     /// discovery (decode), IR lifting, and template matching without this
-    /// crate knowing about metrics. Timing uses `Instant` and is a little
-    /// slower than the untimed path; call it only when observing.
+    /// crate knowing about metrics. It is the same walk with a clock read
+    /// at each stage boundary, a little slower than the untimed path; call
+    /// it only when observing.
     pub fn analyze_frame_timed(&self, frame: &[u8]) -> (FrameAnalysis, StageTiming) {
-        // Starts are processed in chunks: all of a chunk's traces are
-        // lifted, then all are matched, with one clock read at each
-        // boundary. Clock reads are also chained (a stage's end is the
-        // next stage's start), so the amortized cost is ~2 reads per
-        // TIMED_CHUNK starts instead of 4 per start — this is a hot loop
-        // and the instrumentation must not distort what it times. The
-        // chunk bounds the lifted-trace buffer, so a hostile frame with
-        // thousands of starts cannot buy unbounded memory.
-        const TIMED_CHUNK: usize = 16;
         let mut timing = StageTiming::default();
-        let t0 = std::time::Instant::now();
-        let outcome = default_starts_budgeted(frame, &self.config.sweep_budget);
-        let mut mark = std::time::Instant::now();
+        let t0 = Instant::now();
+        let (mut code, outcome) = FrameCode::discover(frame, &self.config.sweep_budget);
+        // Clock reads are chained (a stage's end is the next stage's
+        // start): two per start, none of them double-counted.
+        let mut mark = Instant::now();
         timing.decode_nanos = (mark - t0).as_nanos() as u64;
-        let mut matches: Vec<TemplateMatch> = Vec::new();
-        let mut traces = Vec::with_capacity(TIMED_CHUNK.min(outcome.starts.len()));
-        for chunk in outcome.starts.chunks(TIMED_CHUNK) {
-            traces.clear();
-            for &start in chunk {
-                traces.push(trace_from(frame, start, self.config.max_trace_ops));
+        let matches = self.fast_pass(&mut code, &outcome.starts, |lap| {
+            let now = Instant::now();
+            let spent = (now - mark).as_nanos() as u64;
+            match lap {
+                Lap::Traced => timing.lift_nanos += spent,
+                Lap::Visited => timing.match_nanos += spent,
             }
-            let lifted = std::time::Instant::now();
-            timing.lift_nanos += (lifted - mark).as_nanos() as u64;
-            for trace in &traces {
-                for tmpl in &self.templates {
-                    let mut budget = self.config.budget_per_trace;
-                    if let Some(info) = match_template(trace, tmpl, &mut budget) {
-                        let m = to_match(tmpl, trace, &info);
-                        if !matches
-                            .iter()
-                            .any(|x| x.template == m.template && x.start == m.start)
-                        {
-                            matches.push(m);
-                        }
-                    }
-                }
-            }
-            mark = std::time::Instant::now();
-            timing.match_nanos += (mark - lifted).as_nanos() as u64;
-        }
+            mark = now;
+        });
         (
             FrameAnalysis {
                 matches,
@@ -345,50 +320,101 @@ impl Analyzer {
     /// True if any template matches — the detection fast path (stops at the
     /// first hit).
     pub fn detects(&self, frame: &[u8]) -> bool {
-        for start in default_starts(frame) {
-            let trace = trace_from(frame, start, self.config.max_trace_ops);
-            for tmpl in &self.templates {
-                let mut budget = self.config.budget_per_trace;
-                if match_template(&trace, tmpl, &mut budget).is_some() {
-                    return true;
-                }
-            }
-        }
-        false
+        let (mut code, outcome) = FrameCode::discover(frame, &SweepBudget::UNBOUNDED);
+        self.walk(
+            &mut code,
+            &outcome.starts,
+            |_| {},
+            |trace| match self.unify(trace).next() {
+                Some(_) => ControlFlow::Break(()),
+                None => ControlFlow::Continue(()),
+            },
+        )
     }
 
     /// Analyze with an explicit start-offset set (shared by the naive path).
     pub fn analyze_starts(&self, frame: &[u8], starts: &[usize]) -> Vec<TemplateMatch> {
-        let mut out: Vec<TemplateMatch> = Vec::new();
-        for &start in starts {
-            let trace = trace_from(frame, start, self.config.max_trace_ops);
-            for tmpl in &self.templates {
-                let mut budget = self.config.budget_per_trace;
-                if let Some(info) = match_template(&trace, tmpl, &mut budget) {
-                    let m = to_match(tmpl, &trace, &info);
-                    if !out
-                        .iter()
-                        .any(|x| x.template == m.template && x.start == m.start)
-                    {
-                        out.push(m);
-                    }
-                }
-            }
-        }
-        out
+        self.fast_pass(&mut FrameCode::new(frame), starts, |_| {})
     }
 
     /// Analyze a pre-built trace (used by the pipeline when it already has
     /// one, and by tests).
     pub fn analyze_trace(&self, trace: &Trace) -> Vec<TemplateMatch> {
-        let mut out = Vec::new();
-        for tmpl in &self.templates {
+        self.unify(trace)
+            .map(|(tmpl, info)| to_match(tmpl, trace, &info))
+            .collect()
+    }
+
+    /// Every template that matches `trace`, in template order.
+    fn unify<'a>(
+        &'a self,
+        trace: &'a Trace,
+    ) -> impl Iterator<Item = (&'a Template, MatchInfo)> + 'a {
+        self.templates.iter().filter_map(move |tmpl| {
             let mut budget = self.config.budget_per_trace;
-            if let Some(info) = match_template(trace, tmpl, &mut budget) {
-                out.push(to_match(tmpl, trace, &info));
+            match_template(trace, tmpl, &mut budget).map(|info| (tmpl, info))
+        })
+    }
+
+    /// The one per-start loop behind every entry point: build the trace
+    /// from each start over the shared arena and hand it to `visit`, until
+    /// `visit` breaks (then the result is `true`). `lap` is told when a trace has been built and when
+    /// `visit` has returned, so the timed entry point is this same loop
+    /// with a clock in the hook.
+    fn walk(
+        &self,
+        code: &mut FrameCode<'_>,
+        starts: &[usize],
+        mut lap: impl FnMut(Lap),
+        mut visit: impl FnMut(&Trace) -> ControlFlow<()>,
+    ) -> bool {
+        let mut trace = Trace::default();
+        for &start in starts {
+            code.trace_into(start, self.config.max_trace_ops, &mut trace);
+            lap(Lap::Traced);
+            let flow = visit(&trace);
+            lap(Lap::Visited);
+            if flow.is_break() {
+                return true;
             }
         }
-        out
+        false
+    }
+
+    /// The instruction-run pass: every template against every trace,
+    /// deduplicated.
+    fn fast_pass(
+        &self,
+        code: &mut FrameCode<'_>,
+        starts: &[usize],
+        lap: impl FnMut(Lap),
+    ) -> Vec<TemplateMatch> {
+        let mut matches = Vec::new();
+        self.walk(code, starts, lap, |trace| {
+            for (tmpl, info) in self.unify(trace) {
+                push_unique(&mut matches, to_match(tmpl, trace, &info));
+            }
+            ControlFlow::Continue(())
+        });
+        matches
+    }
+}
+
+/// The stage boundaries [`Analyzer::walk`] reports to its lap hook.
+enum Lap {
+    /// A trace has been built (decode on demand, lift, annotate).
+    Traced,
+    /// The visitor has returned (template or slice matching).
+    Visited,
+}
+
+/// Report a match once per (template, first matched offset).
+fn push_unique(out: &mut Vec<TemplateMatch>, m: TemplateMatch) {
+    if !out
+        .iter()
+        .any(|x| x.template == m.template && x.start == m.start)
+    {
+        out.push(m);
     }
 }
 

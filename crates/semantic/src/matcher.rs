@@ -4,7 +4,6 @@
 use crate::pattern::{Bindings, PatOp, PatValue, Template, XformOp};
 use snids_ir::{BinKind, Place, SemOp, Target, Trace, UnKind, Value};
 use snids_x86::{Gpr, MemRef};
-use std::collections::HashMap;
 
 /// A successful unification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,8 +35,14 @@ pub const DEFAULT_BUDGET: usize = 200_000;
 struct Ctx<'t> {
     trace: &'t Trace,
     tmpl: &'t Template,
-    off_to_idx: HashMap<usize, usize>,
 }
+
+/// The binding extensions under which one op matches one template step: at
+/// most two, because a memory operand offers its base and its index
+/// register as the address variable.
+type Candidates = [Option<Bindings>; 2];
+
+const NO_CANDIDATE: Candidates = [None, None];
 
 /// Match `tmpl` anywhere in `trace`. `budget` is decremented per search step
 /// and shared across calls so a caller can cap total work for a buffer.
@@ -45,24 +50,14 @@ pub fn match_template(trace: &Trace, tmpl: &Template, budget: &mut usize) -> Opt
     if tmpl.is_empty() || trace.ops.is_empty() {
         return None;
     }
-    let off_to_idx: HashMap<usize, usize> = trace
-        .ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| (op.offset, i))
-        .collect();
-    let ctx = Ctx {
-        trace,
-        tmpl,
-        off_to_idx,
-    };
+    let ctx = Ctx { trace, tmpl };
     // Anchor on every op that can begin the template.
     for i in 0..trace.ops.len() {
         if *budget == 0 {
             return None;
         }
         let candidates = match_op(&ctx, &tmpl.ops[0], i, Bindings::default(), i);
-        for b in candidates {
+        for b in candidates.into_iter().flatten() {
             let mut matched = vec![i];
             if search(&ctx, 1, i + 1, b, i, 0, &mut matched, budget)
                 && body_def_use_ok(&ctx, &matched, &b)
@@ -92,9 +87,9 @@ fn body_def_use_ok(ctx: &Ctx<'_>, matched: &[usize], bindings: &Bindings) -> boo
         return true;
     };
     let target_idx = match &ctx.trace.ops[last].op {
-        SemOp::LoopOp(Target::Off(t)) | SemOp::Jcc(_, Target::Off(t)) => usize::try_from(*t)
-            .ok()
-            .and_then(|t| ctx.off_to_idx.get(&t).copied()),
+        SemOp::LoopOp(Target::Off(t)) | SemOp::Jcc(_, Target::Off(t)) => {
+            usize::try_from(*t).ok().and_then(|t| ctx.trace.index_of(t))
+        }
         _ => None,
     };
     let Some(target_idx) = target_idx else {
@@ -139,13 +134,12 @@ fn search(
     }
 
     let pat = &ctx.tmpl.ops[t_idx];
-    #[cfg(feature = "trace-matcher")]
-    eprintln!("search t={t_idx} op={op_idx} pat={pat:?}");
 
     // Option A: consume this op as the current template step.
-    for b2 in match_op(ctx, pat, op_idx, bindings, first_idx) {
-        #[cfg(feature = "trace-matcher")]
-        eprintln!("  matched t={t_idx} at op={op_idx}");
+    for b2 in match_op(ctx, pat, op_idx, bindings, first_idx)
+        .into_iter()
+        .flatten()
+    {
         matched.push(op_idx);
         // XformMany may also absorb further transforms: try both staying on
         // this step and advancing past it.
@@ -198,29 +192,22 @@ fn search(
 /// only `[reg]`, `[reg+disp8]` and `[reg+reg*s]` shapes qualify; giant
 /// displacements are data-access patterns (or random bytes), not decode
 /// pointers.
-fn addr_candidates(m: &MemRef) -> Vec<Gpr> {
+fn addr_candidates(m: &MemRef) -> [Option<Gpr>; 2] {
     if m.disp.unsigned_abs() > 127 {
-        return Vec::new();
+        return [None, None];
     }
     // 16-bit addressing ([bx+si] forms) does not occur in 32-bit payload
     // decoders.
-    let is32 = |r: &snids_x86::Reg| r.width == snids_x86::Width::D;
-    let mut v = Vec::with_capacity(2);
-    if let Some(b) = m.base.filter(|r| is32(r)) {
-        v.push(b.gpr);
+    let is32 = |r: snids_x86::Reg| r.width == snids_x86::Width::D;
+    if m.base.is_some_and(|r| !is32(r)) {
+        return [None, None];
     }
-    if m.base.is_some() && m.base.map(|r| is32(&r)) != Some(true) {
-        return Vec::new();
+    let base = m.base.map(|r| r.gpr);
+    match m.index {
+        Some((i, _)) if !is32(i) => [None, None],
+        Some((i, _)) if Some(i.gpr) != base => [base, Some(i.gpr)],
+        _ => [base, None],
     }
-    if let Some((i, _)) = m.index {
-        if !is32(&i) {
-            return Vec::new();
-        }
-        if !v.contains(&i.gpr) {
-            v.push(i.gpr);
-        }
-    }
-    v
 }
 
 /// Check a source-value constraint, extending bindings as needed.
@@ -248,9 +235,9 @@ fn match_op(
     op_idx: usize,
     bindings: Bindings,
     first_idx: usize,
-) -> Vec<Bindings> {
+) -> Candidates {
     let insn = &ctx.trace.ops[op_idx];
-    let mut out = Vec::new();
+    let one = |b: Option<Bindings>| [b, None];
     match (pat, &insn.op) {
         (
             PatOp::StoreXform { ops, addr, src },
@@ -272,15 +259,13 @@ fn match_op(
                 }
                 Value::Place(Place::Mem(_)) => false,
             };
-            if plausible_key {
-                for g in addr_candidates(m) {
-                    if let Some(b) = bindings.bind_reg(*addr, g) {
-                        if let Some(b) = check_src(src, s, insn.src_value, b) {
-                            out.push(b);
-                        }
-                    }
-                }
+            if !plausible_key {
+                return NO_CANDIDATE;
             }
+            addr_candidates(m).map(|g| {
+                let b = bindings.bind_reg(*addr, g?)?;
+                check_src(src, s, insn.src_value, b)
+            })
         }
         (
             PatOp::LoadFrom { dst, addr },
@@ -288,32 +273,14 @@ fn match_op(
                 dst: Place::Reg(r),
                 src: Value::Place(Place::Mem(m)),
             },
-        ) => {
-            for g in addr_candidates(m) {
-                if let Some(b) = bindings
-                    .bind_reg(*dst, r.gpr)
-                    .and_then(|b| b.bind_reg(*addr, g))
-                {
-                    out.push(b);
-                }
-            }
-        }
+        ) => addr_candidates(m).map(|g| bindings.bind_reg(*dst, r.gpr)?.bind_reg(*addr, g?)),
         (
             PatOp::StoreTo { addr, src },
             SemOp::Mov {
                 dst: Place::Mem(m),
                 src: Value::Place(Place::Reg(r)),
             },
-        ) => {
-            for g in addr_candidates(m) {
-                if let Some(b) = bindings
-                    .bind_reg(*src, r.gpr)
-                    .and_then(|b| b.bind_reg(*addr, g))
-                {
-                    out.push(b);
-                }
-            }
-        }
+        ) => addr_candidates(m).map(|g| bindings.bind_reg(*src, r.gpr)?.bind_reg(*addr, g?)),
         (PatOp::XformMany { ops, dst }, _) => {
             let reg = match &insn.op {
                 SemOp::Bin {
@@ -331,11 +298,7 @@ fn match_op(
                 } if ops.contains(&XformOp::Neg) => Some(r.gpr),
                 _ => None,
             };
-            if let Some(g) = reg {
-                if let Some(b) = bindings.bind_reg(*dst, g) {
-                    out.push(b);
-                }
-            }
+            one(reg.and_then(|g| bindings.bind_reg(*dst, g)))
         }
         // Canonical advance: Add with a small positive folded constant.
         // Real decoders step by their element size (1–16 bytes); wider
@@ -348,16 +311,10 @@ fn match_op(
                 dst: Place::Reg(r),
                 src: _,
             },
-        ) => {
-            if let Some(v) = insn.src_value {
-                let step = v & r.width.mask();
-                if (1..=16).contains(&step) {
-                    if let Some(b) = bindings.bind_reg(*addr, r.gpr) {
-                        out.push(b);
-                    }
-                }
-            }
-        }
+        ) => one(insn
+            .src_value
+            .filter(|v| (1..=16).contains(&(v & r.width.mask())))
+            .and_then(|_| bindings.bind_reg(*addr, r.gpr))),
         (PatOp::LoopBack, op) => {
             // Decoder loops close on a counter condition: LOOP itself, or
             // the jnz/je/jb/jae family after a dec/cmp. Parity, sign and
@@ -365,55 +322,40 @@ fn match_op(
             // admitting them lets random data qualify.
             use snids_x86::Cond;
             let target = match op {
-                SemOp::LoopOp(t) => Some(*t),
-                SemOp::Jcc(Cond::Ne | Cond::E | Cond::B | Cond::Ae, t) => Some(*t),
+                SemOp::LoopOp(Target::Off(t))
+                | SemOp::Jcc(Cond::Ne | Cond::E | Cond::B | Cond::Ae, Target::Off(t)) => {
+                    usize::try_from(*t).ok()
+                }
                 _ => None,
             };
-            if let Some(Target::Off(t)) = target {
-                if let Ok(t) = usize::try_from(t) {
-                    if let Some(&idx) = ctx.off_to_idx.get(&t) {
-                        // The back-edge must close over the matched body
-                        // (target at or before the first matched op), and
-                        // the loop body must be compact — decoder loops are
-                        // a handful of instructions even with junk padding,
-                        // so a bound of 32 trace ops keeps accidental far
-                        // back-branches in random data from qualifying.
-                        if idx <= first_idx
-                            && op_idx - idx <= 32
-                            && counter_consistent(ctx, op, op_idx, idx, &bindings)
-                        {
-                            out.push(bindings);
-                        }
-                    }
-                }
-            }
+            // The back-edge must close over the matched body (target at or
+            // before the first matched op), and the loop body must be
+            // compact — decoder loops are a handful of instructions even
+            // with junk padding, so a bound of 32 trace ops keeps
+            // accidental far back-branches in random data from qualifying.
+            let closes = target
+                .and_then(|t| ctx.trace.index_of(t))
+                .is_some_and(|idx| {
+                    idx <= first_idx
+                        && op_idx - idx <= 32
+                        && counter_consistent(ctx, op, op_idx, idx, &bindings)
+                });
+            one(closes.then_some(bindings))
         }
-        (PatOp::SrcConstIn(vals), _) => {
-            if let Some(v) = insn.src_value {
-                if vals.contains(&v) {
-                    out.push(bindings);
-                }
-            }
-        }
+        (PatOp::SrcConstIn(vals), _) => one(insn
+            .src_value
+            .filter(|v| vals.contains(v))
+            .map(|_| bindings)),
         (PatOp::Syscall { vector, eax, ebx }, SemOp::Int(n)) if n == vector => {
-            let eax_ok = match eax {
-                None => true,
-                Some(want) => insn.src_value == Some(*want),
-            };
-            let ebx_ok = match ebx {
-                None => true,
-                Some(want) => insn.aux_value == Some(*want),
-            };
-            if eax_ok && ebx_ok {
-                out.push(bindings);
-            }
+            let eax_ok = eax.is_none_or(|want| insn.src_value == Some(want));
+            let ebx_ok = ebx.is_none_or(|want| insn.aux_value == Some(want));
+            one((eax_ok && ebx_ok).then_some(bindings))
         }
         (PatOp::AddrInRange { lo, hi }, op) if references_addr_in(op, insn.src_value, *lo, *hi) => {
-            out.push(bindings);
+            one(Some(bindings))
         }
-        _ => {}
+        _ => NO_CANDIDATE,
     }
-    out
 }
 
 /// A loop must have a *counter* that is independent of the decoder's data

@@ -364,7 +364,7 @@ mod tests {
     fn slice_match(tmpl: &Template, code: &[u8]) -> Option<TemplateMatch> {
         let rule = compile_slice(tmpl)?;
         let trace = trace_from(code, 0, 4096);
-        let df = analyze(&trace.ops, &DataflowBudget::default());
+        let df = analyze(&trace, &DataflowBudget::default());
         match_slice(tmpl, &rule, &trace, &df)
     }
 
@@ -457,7 +457,7 @@ mod tests {
         ];
         for frame in corpora {
             let trace = trace_from(frame, 0, 4096);
-            let df = analyze(&trace.ops, &DataflowBudget::default());
+            let df = analyze(&trace, &DataflowBudget::default());
             for (t, r) in &rules {
                 assert!(
                     match_slice(t, r, &trace, &df).is_none(),

@@ -107,3 +107,156 @@ proptest! {
         prop_assert!(Analyzer::default().analyze(&buf).is_empty());
     }
 }
+
+/// Differential lock for the arena path (`snids_ir::FrameCode` shared by
+/// start discovery, trace building and both matchers): the analyzer's
+/// results equal a reference that decodes and lifts afresh for every start
+/// (`snids_ir::oracle`), unifies every template against every trace, and
+/// runs the slice rules over the same traces.
+mod arena_differential {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use snids_gen::{codered, shellcode, AdmMutate, Clet};
+    use snids_ir::dataflow::{self, DataflowBudget};
+    use snids_ir::{oracle, Trace};
+    use snids_semantic::matcher::DEFAULT_BUDGET;
+    use snids_semantic::{
+        compile_slice, default_templates, match_slice, match_template, Analyzer, AnalyzerConfig,
+        TemplateMatch,
+    };
+    use snids_x86::{Reg, SweepBudget};
+
+    fn corpus() -> Vec<Vec<u8>> {
+        let mut rng = StdRng::seed_from_u64(0xa7e4a);
+        let mut frames = Vec::new();
+        for i in 0..24 {
+            let inner = shellcode::execve_variant(&mut rng, i % 3);
+            frames.push(inner.clone());
+            frames.push(AdmMutate::default().generate(&mut rng, &inner).0);
+            frames.push(Clet::default().generate(&mut rng, &inner));
+        }
+        for _ in 0..4 {
+            frames.push(codered::exploit_vector(&mut rng));
+        }
+        for _ in 0..24 {
+            let len = rng.gen_range(1..300);
+            frames.push((0..len).map(|_| rng.gen()).collect());
+        }
+        frames
+    }
+
+    fn push_unique(out: &mut Vec<TemplateMatch>, m: TemplateMatch) {
+        if !out
+            .iter()
+            .any(|x| x.template == m.template && x.start == m.start)
+        {
+            out.push(m);
+        }
+    }
+
+    /// (fast matches, slice matches, sweep exhausted, dataflow exhausted)
+    fn reference(
+        frame: &[u8],
+        config: &AnalyzerConfig,
+    ) -> (Vec<TemplateMatch>, Vec<TemplateMatch>, bool, bool) {
+        let templates = default_templates();
+        let outcome = oracle::starts(frame, &config.sweep_budget);
+        let (mut fast, mut slices, mut dataflow_exhausted) = (Vec::new(), Vec::new(), false);
+        for &start in &outcome.starts {
+            let ops = oracle::trace_ops(frame, start, config.max_trace_ops);
+            let trace = Trace::from_ops(start, ops);
+            for tmpl in &templates {
+                let mut budget = config.budget_per_trace;
+                if let Some(info) = match_template(&trace, tmpl, &mut budget) {
+                    let named = |(i, g): (usize, &Option<snids_x86::Gpr>)| {
+                        g.map(|g| (i as u8, Reg::r32(g).to_string()))
+                    };
+                    let valued = |(i, c): (usize, &Option<u32>)| c.map(|c| (i as u8, c));
+                    let m = TemplateMatch {
+                        template: tmpl.name,
+                        severity: tmpl.severity,
+                        start: info.start_offset(&trace),
+                        end: info.end_offset(&trace),
+                        trace_start: start,
+                        bound_regs: info
+                            .bindings
+                            .regs
+                            .iter()
+                            .enumerate()
+                            .filter_map(named)
+                            .collect(),
+                        consts: info
+                            .bindings
+                            .consts
+                            .iter()
+                            .enumerate()
+                            .filter_map(valued)
+                            .collect(),
+                    };
+                    push_unique(&mut fast, m);
+                }
+            }
+            let df = dataflow::analyze(&trace, &config.dataflow_budget);
+            dataflow_exhausted |= df.exhausted;
+            for tmpl in &templates {
+                let hit =
+                    compile_slice(tmpl).and_then(|rule| match_slice(tmpl, &rule, &trace, &df));
+                if let Some(m) = hit {
+                    push_unique(&mut slices, m);
+                }
+            }
+        }
+        (fast, slices, outcome.exhausted, dataflow_exhausted)
+    }
+
+    #[test]
+    fn arena_analysis_agrees_with_the_per_start_reference() {
+        let capped = |max_instructions, max_bytes| SweepBudget {
+            max_instructions,
+            max_bytes,
+        };
+        let configs = [
+            AnalyzerConfig::default(),
+            AnalyzerConfig {
+                sweep_budget: capped(6, usize::MAX),
+                ..AnalyzerConfig::default()
+            },
+            AnalyzerConfig {
+                sweep_budget: capped(usize::MAX, 24),
+                max_trace_ops: 9,
+                dataflow_budget: DataflowBudget {
+                    max_ops: 5,
+                    max_links: 8,
+                },
+                budget_per_trace: DEFAULT_BUDGET,
+            },
+        ];
+        let (mut fast_hits, mut slice_hits) = (0, 0);
+        for config in configs {
+            let analyzer = Analyzer::default().with_config(config.clone());
+            for frame in corpus() {
+                let (fast, slices, sweep_exhausted, dataflow_exhausted) =
+                    reference(&frame, &config);
+                let got = analyzer.analyze_frame(&frame);
+                assert_eq!(got.matches, fast, "fast pass over {frame:02x?}");
+                assert_eq!(got.sweep_exhausted, sweep_exhausted);
+                let (timed, _) = analyzer.analyze_frame_timed(&frame);
+                assert_eq!(timed.matches, fast);
+                assert_eq!(
+                    analyzer.detects(&frame),
+                    !analyzer.analyze(&frame).is_empty()
+                );
+                let got = analyzer.analyze_frame_slices(&frame);
+                assert_eq!(got.matches, slices, "slice pass over {frame:02x?}");
+                assert_eq!(got.sweep_exhausted, sweep_exhausted);
+                assert_eq!(got.dataflow_exhausted, dataflow_exhausted);
+                fast_hits += fast.len();
+                slice_hits += slices.len();
+            }
+        }
+        assert!(
+            fast_hits > 48 && slice_hits > 0,
+            "{fast_hits} / {slice_hits}"
+        );
+    }
+}

@@ -6,7 +6,7 @@
 //! behave (extracted frames mix code and data).
 
 use crate::insn::{Cond, Instruction, LoopKind, Mnemonic, Prefixes, SegReg};
-use crate::operand::{MemRef, Operand, Width};
+use crate::operand::{ops, MemRef, Operand, Operands, Width};
 use crate::reg::{Gpr, Reg};
 
 /// Architectural maximum encoded length.
@@ -202,7 +202,7 @@ fn bad(offset: usize) -> Instruction {
         offset,
         len: 1,
         mnemonic: Mnemonic::Bad,
-        operands: Vec::new(),
+        operands: Operands::EMPTY,
         width: Width::B,
         prefixes: Prefixes::default(),
     }
@@ -240,7 +240,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
     let opw = if prefixes.opsize { Width::W } else { Width::D };
     let opcode = cur.u8()?;
 
-    let insn = |cur: &Cursor<'_>, mnemonic, operands: Vec<Operand>, width| {
+    let insn = |cur: &Cursor<'_>, mnemonic, operands: Operands, width| {
         Some(Instruction {
             offset,
             len: cur.len() as u8,
@@ -269,27 +269,27 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             0 => {
                 // op r/m8, r8
                 let (reg, rm) = modrm(&mut cur, &prefixes)?;
-                let ops = vec![rm_operand(rm, Width::B), Operand::Reg(Reg::r8(reg))];
+                let ops = ops![rm_operand(rm, Width::B), Operand::Reg(Reg::r8(reg))];
                 return insn(&cur, mnem, ops, Width::B);
             }
             1 => {
                 let (reg, rm) = modrm(&mut cur, &prefixes)?;
-                let ops = vec![rm_operand(rm, opw), Operand::Reg(Reg::from_index(reg, opw))];
+                let ops = ops![rm_operand(rm, opw), Operand::Reg(Reg::from_index(reg, opw))];
                 return insn(&cur, mnem, ops, opw);
             }
             2 => {
                 let (reg, rm) = modrm(&mut cur, &prefixes)?;
-                let ops = vec![Operand::Reg(Reg::r8(reg)), rm_operand(rm, Width::B)];
+                let ops = ops![Operand::Reg(Reg::r8(reg)), rm_operand(rm, Width::B)];
                 return insn(&cur, mnem, ops, Width::B);
             }
             3 => {
                 let (reg, rm) = modrm(&mut cur, &prefixes)?;
-                let ops = vec![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
+                let ops = ops![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
                 return insn(&cur, mnem, ops, opw);
             }
             4 => {
                 let v = cur.u8()?;
-                let ops = vec![
+                let ops = ops![
                     Operand::Reg(Reg::accumulator(Width::B)),
                     Operand::Imm(i64::from(v), Width::B),
                 ];
@@ -297,13 +297,13 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             }
             5 => {
                 let imm = imm_z(&mut cur, opw)?;
-                let ops = vec![Operand::Reg(Reg::accumulator(opw)), imm];
+                let ops = ops![Operand::Reg(Reg::accumulator(opw)), imm];
                 return insn(&cur, mnem, ops, opw);
             }
             6 => {
                 // push seg (06/0E/16/1E... 0E is push cs)
                 let seg = SegReg::from_index(opcode >> 3);
-                return insn(&cur, Mnemonic::Push, vec![Operand::SegReg(seg)], Width::D);
+                return insn(&cur, Mnemonic::Push, ops![Operand::SegReg(seg)], Width::D);
             }
             7 => {
                 // 0F escapes to the two-byte map; otherwise pop seg / BCD.
@@ -317,10 +317,10 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
                     0x3f => Mnemonic::Aas,
                     _ => {
                         let seg = SegReg::from_index(opcode >> 3);
-                        return insn(&cur, Mnemonic::Pop, vec![Operand::SegReg(seg)], Width::D);
+                        return insn(&cur, Mnemonic::Pop, ops![Operand::SegReg(seg)], Width::D);
                     }
                 };
-                return insn(&cur, mnem, vec![], Width::B);
+                return insn(&cur, mnem, ops![], Width::B);
             }
             _ => unreachable!(),
         }
@@ -331,34 +331,34 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         0x40..=0x47 => insn(
             &cur,
             Mnemonic::Inc,
-            vec![Operand::Reg(Reg::from_index(opcode & 7, opw))],
+            ops![Operand::Reg(Reg::from_index(opcode & 7, opw))],
             opw,
         ),
         0x48..=0x4f => insn(
             &cur,
             Mnemonic::Dec,
-            vec![Operand::Reg(Reg::from_index(opcode & 7, opw))],
+            ops![Operand::Reg(Reg::from_index(opcode & 7, opw))],
             opw,
         ),
         0x50..=0x57 => insn(
             &cur,
             Mnemonic::Push,
-            vec![Operand::Reg(Reg::from_index(opcode & 7, opw))],
+            ops![Operand::Reg(Reg::from_index(opcode & 7, opw))],
             opw,
         ),
         0x58..=0x5f => insn(
             &cur,
             Mnemonic::Pop,
-            vec![Operand::Reg(Reg::from_index(opcode & 7, opw))],
+            ops![Operand::Reg(Reg::from_index(opcode & 7, opw))],
             opw,
         ),
-        0x60 => insn(&cur, Mnemonic::Pusha, vec![], opw),
-        0x61 => insn(&cur, Mnemonic::Popa, vec![], opw),
+        0x60 => insn(&cur, Mnemonic::Pusha, ops![], opw),
+        0x61 => insn(&cur, Mnemonic::Popa, ops![], opw),
         0x62 => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             match rm {
                 Rm::Mem(_) => {
-                    let ops = vec![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
+                    let ops = ops![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
                     insn(&cur, Mnemonic::Bound, ops, opw)
                 }
                 Rm::Reg(_) => None, // BOUND requires a memory operand
@@ -366,7 +366,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         }
         0x63 => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![
+            let ops = ops![
                 rm_operand(rm, Width::W),
                 Operand::Reg(Reg::r16(Gpr::from_index(reg))),
             ];
@@ -374,12 +374,12 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         }
         0x68 => {
             let imm = imm_z(&mut cur, opw)?;
-            insn(&cur, Mnemonic::Push, vec![imm], opw)
+            insn(&cur, Mnemonic::Push, ops![imm], opw)
         }
         0x69 => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             let imm = imm_z(&mut cur, opw)?;
-            let ops = vec![
+            let ops = ops![
                 Operand::Reg(Reg::from_index(reg, opw)),
                 rm_operand(rm, opw),
                 imm,
@@ -388,12 +388,12 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         }
         0x6a => {
             let imm = imm8_sx(&mut cur, opw)?;
-            insn(&cur, Mnemonic::Push, vec![imm], opw)
+            insn(&cur, Mnemonic::Push, ops![imm], opw)
         }
         0x6b => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             let imm = imm8_sx(&mut cur, opw)?;
-            let ops = vec![
+            let ops = ops![
                 Operand::Reg(Reg::from_index(reg, opw)),
                 rm_operand(rm, opw),
                 imm,
@@ -403,13 +403,13 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         0x6c | 0x6d => insn(
             &cur,
             Mnemonic::Ins,
-            vec![],
+            ops![],
             if opcode & 1 == 0 { Width::B } else { opw },
         ),
         0x6e | 0x6f => insn(
             &cur,
             Mnemonic::Outs,
-            vec![],
+            ops![],
             if opcode & 1 == 0 { Width::B } else { opw },
         ),
         // Jcc rel8
@@ -419,7 +419,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             insn(
                 &cur,
                 Mnemonic::Jcc(Cond::from_index(opcode)),
-                vec![Operand::Rel(target)],
+                ops![Operand::Rel(target)],
                 Width::B,
             )
         }
@@ -428,7 +428,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             let v = cur.u8()?;
             let mnem = group1(reg);
-            let ops = vec![
+            let ops = ops![
                 rm_operand(rm, Width::B),
                 Operand::Imm(i64::from(v), Width::B),
             ];
@@ -437,51 +437,51 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         0x81 => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             let imm = imm_z(&mut cur, opw)?;
-            let ops = vec![rm_operand(rm, opw), imm];
+            let ops = ops![rm_operand(rm, opw), imm];
             insn(&cur, group1(reg), ops, opw)
         }
         0x83 => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             let imm = imm8_sx(&mut cur, opw)?;
-            let ops = vec![rm_operand(rm, opw), imm];
+            let ops = ops![rm_operand(rm, opw), imm];
             insn(&cur, group1(reg), ops, opw)
         }
         0x84 | 0x85 => {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![rm_operand(rm, w), Operand::Reg(Reg::from_index(reg, w))];
+            let ops = ops![rm_operand(rm, w), Operand::Reg(Reg::from_index(reg, w))];
             insn(&cur, Mnemonic::Test, ops, w)
         }
         0x86 | 0x87 => {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![rm_operand(rm, w), Operand::Reg(Reg::from_index(reg, w))];
+            let ops = ops![rm_operand(rm, w), Operand::Reg(Reg::from_index(reg, w))];
             insn(&cur, Mnemonic::Xchg, ops, w)
         }
         // MOV family
         0x88 => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![rm_operand(rm, Width::B), Operand::Reg(Reg::r8(reg))];
+            let ops = ops![rm_operand(rm, Width::B), Operand::Reg(Reg::r8(reg))];
             insn(&cur, Mnemonic::Mov, ops, Width::B)
         }
         0x89 => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![rm_operand(rm, opw), Operand::Reg(Reg::from_index(reg, opw))];
+            let ops = ops![rm_operand(rm, opw), Operand::Reg(Reg::from_index(reg, opw))];
             insn(&cur, Mnemonic::Mov, ops, opw)
         }
         0x8a => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![Operand::Reg(Reg::r8(reg)), rm_operand(rm, Width::B)];
+            let ops = ops![Operand::Reg(Reg::r8(reg)), rm_operand(rm, Width::B)];
             insn(&cur, Mnemonic::Mov, ops, Width::B)
         }
         0x8b => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
+            let ops = ops![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
             insn(&cur, Mnemonic::Mov, ops, opw)
         }
         0x8c => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![
+            let ops = ops![
                 rm_operand(rm, Width::W),
                 Operand::SegReg(SegReg::from_index(reg)),
             ];
@@ -491,7 +491,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             match rm {
                 Rm::Mem(_) => {
-                    let ops = vec![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
+                    let ops = ops![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
                     insn(&cur, Mnemonic::Lea, ops, opw)
                 }
                 Rm::Reg(_) => None, // LEA requires a memory operand
@@ -499,7 +499,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         }
         0x8e => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![
+            let ops = ops![
                 Operand::SegReg(SegReg::from_index(reg)),
                 rm_operand(rm, Width::W),
             ];
@@ -510,14 +510,14 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             if reg != 0 {
                 return None;
             }
-            insn(&cur, Mnemonic::Pop, vec![rm_operand(rm, opw)], opw)
+            insn(&cur, Mnemonic::Pop, ops![rm_operand(rm, opw)], opw)
         }
         0x90 => {
             // Plain NOP. `F3 90` is PAUSE but NOP-equivalent for our purposes.
-            insn(&cur, Mnemonic::Nop, vec![], opw)
+            insn(&cur, Mnemonic::Nop, ops![], opw)
         }
         0x91..=0x97 => {
-            let ops = vec![
+            let ops = ops![
                 Operand::Reg(Reg::accumulator(opw)),
                 Operand::Reg(Reg::from_index(opcode & 7, opw)),
             ];
@@ -530,7 +530,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             } else {
                 Mnemonic::Cwde
             },
-            vec![],
+            ops![],
             opw,
         ),
         0x99 => insn(
@@ -540,7 +540,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             } else {
                 Mnemonic::Cdq
             },
-            vec![],
+            ops![],
             opw,
         ),
         0x9a => {
@@ -549,15 +549,15 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             insn(
                 &cur,
                 Mnemonic::CallFar,
-                vec![Operand::Far { seg, off }],
+                ops![Operand::Far { seg, off }],
                 opw,
             )
         }
-        0x9b => insn(&cur, Mnemonic::Wait, vec![], Width::B),
-        0x9c => insn(&cur, Mnemonic::Pushf, vec![], opw),
-        0x9d => insn(&cur, Mnemonic::Popf, vec![], opw),
-        0x9e => insn(&cur, Mnemonic::Sahf, vec![], Width::B),
-        0x9f => insn(&cur, Mnemonic::Lahf, vec![], Width::B),
+        0x9b => insn(&cur, Mnemonic::Wait, ops![], Width::B),
+        0x9c => insn(&cur, Mnemonic::Pushf, ops![], opw),
+        0x9d => insn(&cur, Mnemonic::Popf, ops![], opw),
+        0x9e => insn(&cur, Mnemonic::Sahf, ops![], Width::B),
+        0x9f => insn(&cur, Mnemonic::Lahf, ops![], Width::B),
         // MOV accumulator <-> moffs
         0xa0..=0xa3 => {
             let disp = if prefixes.addrsize {
@@ -575,17 +575,17 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             });
             let acc = Operand::Reg(Reg::accumulator(w));
             let ops = if opcode < 0xa2 {
-                vec![acc, mem]
+                ops![acc, mem]
             } else {
-                vec![mem, acc]
+                ops![mem, acc]
             };
             insn(&cur, Mnemonic::Mov, ops, w)
         }
-        0xa4 | 0xa5 => insn(&cur, Mnemonic::Movs, vec![], str_w(opcode, opw)),
-        0xa6 | 0xa7 => insn(&cur, Mnemonic::Cmps, vec![], str_w(opcode, opw)),
+        0xa4 | 0xa5 => insn(&cur, Mnemonic::Movs, ops![], str_w(opcode, opw)),
+        0xa6 | 0xa7 => insn(&cur, Mnemonic::Cmps, ops![], str_w(opcode, opw)),
         0xa8 => {
             let v = cur.u8()?;
-            let ops = vec![
+            let ops = ops![
                 Operand::Reg(Reg::accumulator(Width::B)),
                 Operand::Imm(i64::from(v), Width::B),
             ];
@@ -593,16 +593,16 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         }
         0xa9 => {
             let imm = imm_z(&mut cur, opw)?;
-            let ops = vec![Operand::Reg(Reg::accumulator(opw)), imm];
+            let ops = ops![Operand::Reg(Reg::accumulator(opw)), imm];
             insn(&cur, Mnemonic::Test, ops, opw)
         }
-        0xaa | 0xab => insn(&cur, Mnemonic::Stos, vec![], str_w(opcode, opw)),
-        0xac | 0xad => insn(&cur, Mnemonic::Lods, vec![], str_w(opcode, opw)),
-        0xae | 0xaf => insn(&cur, Mnemonic::Scas, vec![], str_w(opcode, opw)),
+        0xaa | 0xab => insn(&cur, Mnemonic::Stos, ops![], str_w(opcode, opw)),
+        0xac | 0xad => insn(&cur, Mnemonic::Lods, ops![], str_w(opcode, opw)),
+        0xae | 0xaf => insn(&cur, Mnemonic::Scas, ops![], str_w(opcode, opw)),
         // MOV r, imm
         0xb0..=0xb7 => {
             let v = cur.u8()?;
-            let ops = vec![
+            let ops = ops![
                 Operand::Reg(Reg::r8(opcode & 7)),
                 Operand::Imm(i64::from(v), Width::B),
             ];
@@ -610,7 +610,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         }
         0xb8..=0xbf => {
             let imm = imm_z(&mut cur, opw)?;
-            let ops = vec![Operand::Reg(Reg::from_index(opcode & 7, opw)), imm];
+            let ops = ops![Operand::Reg(Reg::from_index(opcode & 7, opw)), imm];
             insn(&cur, Mnemonic::Mov, ops, opw)
         }
         // Group 2: shifts/rotates
@@ -618,7 +618,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             let v = cur.u8()?;
-            let ops = vec![rm_operand(rm, w), Operand::Imm(i64::from(v), Width::B)];
+            let ops = ops![rm_operand(rm, w), Operand::Imm(i64::from(v), Width::B)];
             insn(&cur, group2(reg), ops, w)
         }
         0xc2 => {
@@ -626,11 +626,11 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             insn(
                 &cur,
                 Mnemonic::Ret,
-                vec![Operand::Imm(i64::from(v), Width::W)],
+                ops![Operand::Imm(i64::from(v), Width::W)],
                 opw,
             )
         }
-        0xc3 => insn(&cur, Mnemonic::Ret, vec![], opw),
+        0xc3 => insn(&cur, Mnemonic::Ret, ops![], opw),
         0xc4 | 0xc5 => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             match rm {
@@ -640,7 +640,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
                     } else {
                         Mnemonic::Lds
                     };
-                    let ops = vec![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
+                    let ops = ops![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
                     insn(&cur, mnem, ops, opw)
                 }
                 Rm::Reg(_) => None,
@@ -652,7 +652,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
                 return None;
             }
             let v = cur.u8()?;
-            let ops = vec![
+            let ops = ops![
                 rm_operand(rm, Width::B),
                 Operand::Imm(i64::from(v), Width::B),
             ];
@@ -664,51 +664,51 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
                 return None;
             }
             let imm = imm_z(&mut cur, opw)?;
-            let ops = vec![rm_operand(rm, opw), imm];
+            let ops = ops![rm_operand(rm, opw), imm];
             insn(&cur, Mnemonic::Mov, ops, opw)
         }
         0xc8 => {
             let size = cur.u16()?;
             let nesting = cur.u8()?;
-            let ops = vec![
+            let ops = ops![
                 Operand::Imm(i64::from(size), Width::W),
                 Operand::Imm(i64::from(nesting), Width::B),
             ];
             insn(&cur, Mnemonic::Enter, ops, opw)
         }
-        0xc9 => insn(&cur, Mnemonic::Leave, vec![], opw),
+        0xc9 => insn(&cur, Mnemonic::Leave, ops![], opw),
         0xca => {
             let v = cur.u16()?;
             insn(
                 &cur,
                 Mnemonic::RetFar,
-                vec![Operand::Imm(i64::from(v), Width::W)],
+                ops![Operand::Imm(i64::from(v), Width::W)],
                 opw,
             )
         }
-        0xcb => insn(&cur, Mnemonic::RetFar, vec![], opw),
-        0xcc => insn(&cur, Mnemonic::Int3, vec![], Width::B),
+        0xcb => insn(&cur, Mnemonic::RetFar, ops![], opw),
+        0xcc => insn(&cur, Mnemonic::Int3, ops![], Width::B),
         0xcd => {
             let v = cur.u8()?;
             insn(
                 &cur,
                 Mnemonic::Int,
-                vec![Operand::Imm(i64::from(v), Width::B)],
+                ops![Operand::Imm(i64::from(v), Width::B)],
                 Width::B,
             )
         }
-        0xce => insn(&cur, Mnemonic::Into, vec![], Width::B),
-        0xcf => insn(&cur, Mnemonic::Iret, vec![], opw),
+        0xce => insn(&cur, Mnemonic::Into, ops![], Width::B),
+        0xcf => insn(&cur, Mnemonic::Iret, ops![], opw),
         0xd0 | 0xd1 => {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![rm_operand(rm, w), Operand::Imm(1, Width::B)];
+            let ops = ops![rm_operand(rm, w), Operand::Imm(1, Width::B)];
             insn(&cur, group2(reg), ops, w)
         }
         0xd2 | 0xd3 => {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
-            let ops = vec![rm_operand(rm, w), Operand::Reg(Reg::r8(1))]; // CL
+            let ops = ops![rm_operand(rm, w), Operand::Reg(Reg::r8(1))]; // CL
             insn(&cur, group2(reg), ops, w)
         }
         0xd4 => {
@@ -716,7 +716,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             insn(
                 &cur,
                 Mnemonic::Aam,
-                vec![Operand::Imm(i64::from(v), Width::B)],
+                ops![Operand::Imm(i64::from(v), Width::B)],
                 Width::B,
             )
         }
@@ -725,18 +725,18 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             insn(
                 &cur,
                 Mnemonic::Aad,
-                vec![Operand::Imm(i64::from(v), Width::B)],
+                ops![Operand::Imm(i64::from(v), Width::B)],
                 Width::B,
             )
         }
-        0xd6 => insn(&cur, Mnemonic::Salc, vec![], Width::B),
-        0xd7 => insn(&cur, Mnemonic::Xlat, vec![], Width::B),
+        0xd6 => insn(&cur, Mnemonic::Salc, ops![], Width::B),
+        0xd7 => insn(&cur, Mnemonic::Xlat, ops![], Width::B),
         // x87: decode the frame, keep the raw opcode.
         0xd8..=0xdf => {
             let (_, rm) = modrm(&mut cur, &prefixes)?;
             let ops = match rm {
-                Rm::Mem(_) => vec![rm_operand(rm, Width::D)],
-                Rm::Reg(_) => vec![],
+                Rm::Mem(_) => ops![rm_operand(rm, Width::D)],
+                Rm::Reg(_) => ops![],
             };
             insn(&cur, Mnemonic::Fpu(opcode), ops, Width::D)
         }
@@ -751,19 +751,19 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
             insn(
                 &cur,
                 Mnemonic::Loop(kind),
-                vec![Operand::Rel(target)],
+                ops![Operand::Rel(target)],
                 Width::B,
             )
         }
         0xe3 => {
             let rel = cur.i8()?;
             let target = cur.pos as i64 + i64::from(rel);
-            insn(&cur, Mnemonic::Jecxz, vec![Operand::Rel(target)], Width::B)
+            insn(&cur, Mnemonic::Jecxz, ops![Operand::Rel(target)], Width::B)
         }
         0xe4 | 0xe5 => {
             let port = cur.u8()?;
             let w = if opcode & 1 == 0 { Width::B } else { opw };
-            let ops = vec![
+            let ops = ops![
                 Operand::Reg(Reg::accumulator(w)),
                 Operand::Imm(i64::from(port), Width::B),
             ];
@@ -772,7 +772,7 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         0xe6 | 0xe7 => {
             let port = cur.u8()?;
             let w = if opcode & 1 == 0 { Width::B } else { opw };
-            let ops = vec![
+            let ops = ops![
                 Operand::Imm(i64::from(port), Width::B),
                 Operand::Reg(Reg::accumulator(w)),
             ];
@@ -781,26 +781,26 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         0xe8 => {
             let rel = cur.u32()? as i32;
             let target = cur.pos as i64 + i64::from(rel);
-            insn(&cur, Mnemonic::Call, vec![Operand::Rel(target)], opw)
+            insn(&cur, Mnemonic::Call, ops![Operand::Rel(target)], opw)
         }
         0xe9 => {
             let rel = cur.u32()? as i32;
             let target = cur.pos as i64 + i64::from(rel);
-            insn(&cur, Mnemonic::Jmp, vec![Operand::Rel(target)], opw)
+            insn(&cur, Mnemonic::Jmp, ops![Operand::Rel(target)], opw)
         }
         0xea => {
             let off = cur.u32()?;
             let seg = cur.u16()?;
-            insn(&cur, Mnemonic::JmpFar, vec![Operand::Far { seg, off }], opw)
+            insn(&cur, Mnemonic::JmpFar, ops![Operand::Far { seg, off }], opw)
         }
         0xeb => {
             let rel = cur.i8()?;
             let target = cur.pos as i64 + i64::from(rel);
-            insn(&cur, Mnemonic::Jmp, vec![Operand::Rel(target)], Width::B)
+            insn(&cur, Mnemonic::Jmp, ops![Operand::Rel(target)], Width::B)
         }
         0xec | 0xed => {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
-            let ops = vec![
+            let ops = ops![
                 Operand::Reg(Reg::accumulator(w)),
                 Operand::Reg(Reg::r16(Gpr::Edx)),
             ];
@@ -808,15 +808,15 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         }
         0xee | 0xef => {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
-            let ops = vec![
+            let ops = ops![
                 Operand::Reg(Reg::r16(Gpr::Edx)),
                 Operand::Reg(Reg::accumulator(w)),
             ];
             insn(&cur, Mnemonic::Out, ops, w)
         }
-        0xf1 => insn(&cur, Mnemonic::Int3, vec![], Width::B), // ICEBP
-        0xf4 => insn(&cur, Mnemonic::Hlt, vec![], Width::B),
-        0xf5 => insn(&cur, Mnemonic::Cmc, vec![], Width::B),
+        0xf1 => insn(&cur, Mnemonic::Int3, ops![], Width::B), // ICEBP
+        0xf4 => insn(&cur, Mnemonic::Hlt, ops![], Width::B),
+        0xf5 => insn(&cur, Mnemonic::Cmc, ops![], Width::B),
         // Group 3
         0xf6 | 0xf7 => {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
@@ -828,22 +828,22 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
                     } else {
                         imm_z(&mut cur, w)?
                     };
-                    insn(&cur, Mnemonic::Test, vec![rm_operand(rm, w), imm], w)
+                    insn(&cur, Mnemonic::Test, ops![rm_operand(rm, w), imm], w)
                 }
-                2 => insn(&cur, Mnemonic::Not, vec![rm_operand(rm, w)], w),
-                3 => insn(&cur, Mnemonic::Neg, vec![rm_operand(rm, w)], w),
-                4 => insn(&cur, Mnemonic::Mul, vec![rm_operand(rm, w)], w),
-                5 => insn(&cur, Mnemonic::Imul, vec![rm_operand(rm, w)], w),
-                6 => insn(&cur, Mnemonic::Div, vec![rm_operand(rm, w)], w),
-                _ => insn(&cur, Mnemonic::Idiv, vec![rm_operand(rm, w)], w),
+                2 => insn(&cur, Mnemonic::Not, ops![rm_operand(rm, w)], w),
+                3 => insn(&cur, Mnemonic::Neg, ops![rm_operand(rm, w)], w),
+                4 => insn(&cur, Mnemonic::Mul, ops![rm_operand(rm, w)], w),
+                5 => insn(&cur, Mnemonic::Imul, ops![rm_operand(rm, w)], w),
+                6 => insn(&cur, Mnemonic::Div, ops![rm_operand(rm, w)], w),
+                _ => insn(&cur, Mnemonic::Idiv, ops![rm_operand(rm, w)], w),
             }
         }
-        0xf8 => insn(&cur, Mnemonic::Clc, vec![], Width::B),
-        0xf9 => insn(&cur, Mnemonic::Stc, vec![], Width::B),
-        0xfa => insn(&cur, Mnemonic::Cli, vec![], Width::B),
-        0xfb => insn(&cur, Mnemonic::Sti, vec![], Width::B),
-        0xfc => insn(&cur, Mnemonic::Cld, vec![], Width::B),
-        0xfd => insn(&cur, Mnemonic::Std, vec![], Width::B),
+        0xf8 => insn(&cur, Mnemonic::Clc, ops![], Width::B),
+        0xf9 => insn(&cur, Mnemonic::Stc, ops![], Width::B),
+        0xfa => insn(&cur, Mnemonic::Cli, ops![], Width::B),
+        0xfb => insn(&cur, Mnemonic::Sti, ops![], Width::B),
+        0xfc => insn(&cur, Mnemonic::Cld, ops![], Width::B),
+        0xfd => insn(&cur, Mnemonic::Std, ops![], Width::B),
         // Group 4/5
         0xfe => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
@@ -851,13 +851,13 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
                 0 => insn(
                     &cur,
                     Mnemonic::Inc,
-                    vec![rm_operand(rm, Width::B)],
+                    ops![rm_operand(rm, Width::B)],
                     Width::B,
                 ),
                 1 => insn(
                     &cur,
                     Mnemonic::Dec,
-                    vec![rm_operand(rm, Width::B)],
+                    ops![rm_operand(rm, Width::B)],
                     Width::B,
                 ),
                 _ => None,
@@ -866,19 +866,19 @@ fn try_decode(buf: &[u8], offset: usize) -> Option<Instruction> {
         0xff => {
             let (reg, rm) = modrm(&mut cur, &prefixes)?;
             match reg {
-                0 => insn(&cur, Mnemonic::Inc, vec![rm_operand(rm, opw)], opw),
-                1 => insn(&cur, Mnemonic::Dec, vec![rm_operand(rm, opw)], opw),
-                2 => insn(&cur, Mnemonic::Call, vec![rm_operand(rm, opw)], opw),
+                0 => insn(&cur, Mnemonic::Inc, ops![rm_operand(rm, opw)], opw),
+                1 => insn(&cur, Mnemonic::Dec, ops![rm_operand(rm, opw)], opw),
+                2 => insn(&cur, Mnemonic::Call, ops![rm_operand(rm, opw)], opw),
                 3 => match rm {
-                    Rm::Mem(_) => insn(&cur, Mnemonic::CallFar, vec![rm_operand(rm, opw)], opw),
+                    Rm::Mem(_) => insn(&cur, Mnemonic::CallFar, ops![rm_operand(rm, opw)], opw),
                     Rm::Reg(_) => None,
                 },
-                4 => insn(&cur, Mnemonic::Jmp, vec![rm_operand(rm, opw)], opw),
+                4 => insn(&cur, Mnemonic::Jmp, ops![rm_operand(rm, opw)], opw),
                 5 => match rm {
-                    Rm::Mem(_) => insn(&cur, Mnemonic::JmpFar, vec![rm_operand(rm, opw)], opw),
+                    Rm::Mem(_) => insn(&cur, Mnemonic::JmpFar, ops![rm_operand(rm, opw)], opw),
                     Rm::Reg(_) => None,
                 },
-                6 => insn(&cur, Mnemonic::Push, vec![rm_operand(rm, opw)], opw),
+                6 => insn(&cur, Mnemonic::Push, ops![rm_operand(rm, opw)], opw),
                 _ => None,
             }
         }
@@ -929,7 +929,7 @@ fn decode_0f(
     opw: Width,
 ) -> Option<Instruction> {
     let opcode = cur.u8()?;
-    let insn = |cur: &Cursor<'_>, mnemonic, operands: Vec<Operand>, width| {
+    let insn = |cur: &Cursor<'_>, mnemonic, operands: Operands, width| {
         Some(Instruction {
             offset,
             len: cur.len() as u8,
@@ -941,20 +941,20 @@ fn decode_0f(
     };
 
     match opcode {
-        0x0b => insn(cur, Mnemonic::Ud2, vec![], Width::B),
+        0x0b => insn(cur, Mnemonic::Ud2, ops![], Width::B),
         0x1f => {
             // multi-byte NOP
             let (_, rm) = modrm(cur, &prefixes)?;
-            insn(cur, Mnemonic::Nop, vec![rm_operand(rm, opw)], opw)
+            insn(cur, Mnemonic::Nop, ops![rm_operand(rm, opw)], opw)
         }
-        0x31 => insn(cur, Mnemonic::Rdtsc, vec![], Width::D),
+        0x31 => insn(cur, Mnemonic::Rdtsc, ops![], Width::D),
         0x80..=0x8f => {
             let rel = cur.u32()? as i32;
             let target = cur.pos as i64 + i64::from(rel);
             insn(
                 cur,
                 Mnemonic::Jcc(Cond::from_index(opcode)),
-                vec![Operand::Rel(target)],
+                ops![Operand::Rel(target)],
                 Width::D,
             )
         }
@@ -963,23 +963,23 @@ fn decode_0f(
             insn(
                 cur,
                 Mnemonic::Setcc(Cond::from_index(opcode)),
-                vec![rm_operand(rm, Width::B)],
+                ops![rm_operand(rm, Width::B)],
                 Width::B,
             )
         }
         0xa0 => insn(
             cur,
             Mnemonic::Push,
-            vec![Operand::SegReg(SegReg::Fs)],
+            ops![Operand::SegReg(SegReg::Fs)],
             Width::D,
         ),
         0xa1 => insn(
             cur,
             Mnemonic::Pop,
-            vec![Operand::SegReg(SegReg::Fs)],
+            ops![Operand::SegReg(SegReg::Fs)],
             Width::D,
         ),
-        0xa2 => insn(cur, Mnemonic::Cpuid, vec![], Width::D),
+        0xa2 => insn(cur, Mnemonic::Cpuid, ops![], Width::D),
         0xa3 | 0xab | 0xb3 | 0xbb => {
             let (reg, rm) = modrm(cur, &prefixes)?;
             let mnem = match opcode {
@@ -988,30 +988,30 @@ fn decode_0f(
                 0xb3 => Mnemonic::Btr,
                 _ => Mnemonic::Btc,
             };
-            let ops = vec![rm_operand(rm, opw), Operand::Reg(Reg::from_index(reg, opw))];
+            let ops = ops![rm_operand(rm, opw), Operand::Reg(Reg::from_index(reg, opw))];
             insn(cur, mnem, ops, opw)
         }
         0xa8 => insn(
             cur,
             Mnemonic::Push,
-            vec![Operand::SegReg(SegReg::Gs)],
+            ops![Operand::SegReg(SegReg::Gs)],
             Width::D,
         ),
         0xa9 => insn(
             cur,
             Mnemonic::Pop,
-            vec![Operand::SegReg(SegReg::Gs)],
+            ops![Operand::SegReg(SegReg::Gs)],
             Width::D,
         ),
         0xaf => {
             let (reg, rm) = modrm(cur, &prefixes)?;
-            let ops = vec![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
+            let ops = ops![Operand::Reg(Reg::from_index(reg, opw)), rm_operand(rm, opw)];
             insn(cur, Mnemonic::Imul, ops, opw)
         }
         0xb0 | 0xb1 => {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
             let (reg, rm) = modrm(cur, &prefixes)?;
-            let ops = vec![rm_operand(rm, w), Operand::Reg(Reg::from_index(reg, w))];
+            let ops = ops![rm_operand(rm, w), Operand::Reg(Reg::from_index(reg, w))];
             insn(cur, Mnemonic::Cmpxchg, ops, w)
         }
         0xb6 | 0xb7 | 0xbe | 0xbf => {
@@ -1022,7 +1022,7 @@ fn decode_0f(
                 Mnemonic::Movsx
             };
             let (reg, rm) = modrm(cur, &prefixes)?;
-            let ops = vec![
+            let ops = ops![
                 Operand::Reg(Reg::from_index(reg, opw)),
                 rm_operand(rm, srcw),
             ];
@@ -1038,19 +1038,19 @@ fn decode_0f(
                 _ => return None,
             };
             let v = cur.u8()?;
-            let ops = vec![rm_operand(rm, opw), Operand::Imm(i64::from(v), Width::B)];
+            let ops = ops![rm_operand(rm, opw), Operand::Imm(i64::from(v), Width::B)];
             insn(cur, mnem, ops, opw)
         }
         0xc0 | 0xc1 => {
             let w = if opcode & 1 == 0 { Width::B } else { opw };
             let (reg, rm) = modrm(cur, &prefixes)?;
-            let ops = vec![rm_operand(rm, w), Operand::Reg(Reg::from_index(reg, w))];
+            let ops = ops![rm_operand(rm, w), Operand::Reg(Reg::from_index(reg, w))];
             insn(cur, Mnemonic::Xadd, ops, w)
         }
         0xc8..=0xcf => insn(
             cur,
             Mnemonic::Bswap,
-            vec![Operand::Reg(Reg::from_index(opcode & 7, Width::D))],
+            ops![Operand::Reg(Reg::from_index(opcode & 7, Width::D))],
             Width::D,
         ),
         _ => None,

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::operand::{Operand, Width};
+use crate::operand::{Operand, Operands, Width};
 
 /// Segment registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -301,8 +301,8 @@ pub struct Instruction {
     pub len: u8,
     /// The operation.
     pub mnemonic: Mnemonic,
-    /// Explicit operands in Intel order (destination first).
-    pub operands: Vec<Operand>,
+    /// Explicit operands in Intel order (destination first), inline.
+    pub operands: Operands,
     /// The operation width (used by string ops, push/pop, etc.).
     pub width: Width,
     /// Prefixes seen.
@@ -378,7 +378,7 @@ mod tests {
             offset: 10,
             len: 2,
             mnemonic: Mnemonic::Jmp,
-            operands: vec![Operand::Rel(4)],
+            operands: [Operand::Rel(4)].into(),
             width: Width::D,
             prefixes: Prefixes::default(),
         };
@@ -390,7 +390,7 @@ mod tests {
             offset: 0,
             len: 5,
             mnemonic: Mnemonic::Mov,
-            operands: vec![],
+            operands: Operands::EMPTY,
             width: Width::D,
             prefixes: Prefixes::default(),
         };

@@ -31,7 +31,7 @@ pub mod stream;
 
 pub use decoder::decode;
 pub use insn::{Cond, Instruction, LoopKind, Mnemonic, Prefixes, SegReg};
-pub use operand::{MemRef, Operand, Width};
+pub use operand::{MemRef, Operand, Operands, Width, MAX_OPERANDS};
 pub use reg::{Gpr, Reg};
 pub use semantics::{LocSet, Location};
 pub use stream::{linear_sweep, linear_sweep_budgeted, InsnStream, SweepBudget, SweepOutcome};

@@ -189,6 +189,71 @@ impl Operand {
     }
 }
 
+/// The most explicit operands any IA-32 instruction carries
+/// (`imul r, r/m, imm`, `shld r/m, r, imm`).
+pub const MAX_OPERANDS: usize = 3;
+
+/// An instruction's explicit operands, stored inline so that decoding
+/// never touches the heap. Dereferences to a slice of the operands present.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct Operands {
+    len: u8,
+    // Slots at and past `len` always hold `FILLER`, so the derived
+    // equality and hash see only the operands present.
+    items: [Operand; MAX_OPERANDS],
+}
+
+impl Operands {
+    const FILLER: Operand = Operand::Imm(0, Width::B);
+
+    /// No operands.
+    pub const EMPTY: Operands = Operands {
+        len: 0,
+        items: [Self::FILLER; MAX_OPERANDS],
+    };
+}
+
+impl<const N: usize> From<[Operand; N]> for Operands {
+    /// Panics when `N` exceeds [`MAX_OPERANDS`] — no encoding has more.
+    fn from(ops: [Operand; N]) -> Self {
+        let mut out = Operands::EMPTY;
+        out.items[..N].copy_from_slice(&ops);
+        out.len = N as u8;
+        out
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Operands {
+    type Item = &'a Operand;
+    type IntoIter = std::slice::Iter<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Build an [`Operands`] list from up to [`MAX_OPERANDS`] operands.
+macro_rules! ops {
+    ($($op:expr),* $(,)?) => {
+        $crate::operand::Operands::from([$($op),*])
+    };
+}
+pub(crate) use ops;
+
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -57,6 +57,14 @@ pub struct SweepBudget {
     pub max_bytes: usize,
 }
 
+impl SweepBudget {
+    /// A budget that never expires.
+    pub const UNBOUNDED: SweepBudget = SweepBudget {
+        max_instructions: usize::MAX,
+        max_bytes: usize::MAX,
+    };
+}
+
 impl Default for SweepBudget {
     fn default() -> Self {
         // Generous for any real exploit frame (paper-scale payloads are

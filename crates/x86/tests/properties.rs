@@ -1,7 +1,9 @@
 //! Property-based tests for the disassembler.
 
 use proptest::prelude::*;
-use snids_x86::{decode, linear_sweep, linear_sweep_budgeted, Mnemonic, SweepBudget};
+use snids_x86::{
+    decode, linear_sweep, linear_sweep_budgeted, Mnemonic, Operands, SweepBudget, MAX_OPERANDS,
+};
 
 proptest! {
     /// The decoder never panics and always makes progress on arbitrary bytes.
@@ -85,4 +87,53 @@ proptest! {
         prop_assert_eq!(&out.instructions[..], &full[..out.instructions.len()]);
         prop_assert_eq!(out.exhausted, out.instructions.len() < full.len());
     }
+
+    /// The inline operand list is the list the formatted listing prints —
+    /// no filler slot shows, none of the operands is lost — and it
+    /// survives being rebuilt from its own slice.
+    #[test]
+    fn inline_operands_are_what_the_listing_prints(
+        buf in proptest::collection::vec(any::<u8>(), 1..32),
+        off in 0usize..32,
+    ) {
+        let insn = decode(&buf, off % buf.len());
+        prop_assert!(insn.operands.len() <= MAX_OPERANDS);
+        let mut listed = String::new();
+        for (i, op) in insn.operands.iter().enumerate() {
+            listed += if i == 0 { " " } else { ", " };
+            listed += &op.to_string();
+        }
+        let text = insn.to_string();
+        let expected = format!("{}{listed}", snids_x86::fmt::mnemonic_str(&insn));
+        prop_assert!(text.ends_with(&expected), "`{}` vs `{}`", text, expected);
+        prop_assert_eq!(insn.op0(), insn.operands.first());
+        prop_assert_eq!(insn.op1(), insn.operands.get(1));
+        let rebuilt = match *insn.operands {
+            [] => Operands::EMPTY,
+            [a] => [a].into(),
+            [a, b] => [a, b].into(),
+            [a, b, c] => [a, b, c].into(),
+            _ => unreachable!("more than MAX_OPERANDS operands"),
+        };
+        prop_assert_eq!(rebuilt, insn.operands);
+    }
 }
+
+/// Decoding is unchanged by the operands moving inline: every offset of a
+/// seeded random buffer decodes to an instruction whose `Debug` rendering
+/// hashes to the value recorded at the commit before the move (721a99d).
+#[test]
+fn random_bytes_decode_as_before_the_operands_moved_inline() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0dec0de);
+    let buf: Vec<u8> = (0..16 * 1024).map(|_| rng.gen()).collect();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for off in 0..buf.len() {
+        for byte in format!("{:?}", decode(&buf, off)).bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(hash, RANDOM_DECODE_DIGEST, "digest is now {hash:#018x}");
+}
+
+const RANDOM_DECODE_DIGEST: u64 = 0x5d76_213e_9d90_daa6;
