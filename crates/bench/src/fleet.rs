@@ -25,7 +25,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snids_core::{DropReason, NidsConfig, ShardedNids};
+use snids_core::{DropReason, Nids, NidsConfig};
 use snids_gen::chaos::{chaos_packets, ChaosConfig, ChaosLog};
 use snids_gen::traces::{codered_capture, AddressPlan};
 use snids_obs::federate::{self, FleetSnapshot, ScrapeConfig, WorkerScrape};
@@ -273,7 +273,7 @@ fn spawn_worker(
 pub fn run(cfg: &FleetConfig) -> FleetReport {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(
-        cfg.exe.as_os_str().len() > 0,
+        !cfg.exe.as_os_str().is_empty(),
         "FleetConfig::exe must point at the snids binary"
     );
     std::fs::create_dir_all(&cfg.dir).expect("create fleet scratch dir");
@@ -297,13 +297,13 @@ pub fn run(cfg: &FleetConfig) -> FleetReport {
     }
 
     // Single-process reference run, in process: the same pipeline the
-    // child CLI constructs (ShardedNids with shards=1 delegates to it).
+    // child CLI constructs.
     let reference = NidsConfig {
         honeypots: plan.honeypots.clone(),
         dark_nets: vec![(plan.dark_net, 16)],
         ..NidsConfig::default()
     };
-    let mut single = ShardedNids::new(reference);
+    let mut single = Nids::new(reference);
     let single_alert_jsons: Vec<String> = single
         .process_capture(&packets)
         .iter()

@@ -2,7 +2,7 @@
 //!
 //! The overload corpus ([`crate::overload::build_capture`]: planted
 //! polymorphic attacks, an idle gap, then a state-exhaustion flood) is
-//! replayed through [`ShardedNids`] at each configured shard count, as
+//! replayed through [`Nids`] at each configured shard count, as
 //! fast as the pipeline will take packets. The driver's `process_packet`
 //! is timed per packet, so the latency histogram captures dispatch
 //! stalls: with a deliberately shallow mailbox the flood saturates
@@ -24,7 +24,7 @@
 //! (blocked sends, peak depth), the budget peak, and the planted-attack
 //! detection count.
 
-use snids_core::{NidsConfig, ShardedNids};
+use snids_core::{Nids, NidsConfig};
 use snids_gen::traces::AddressPlan;
 use snids_obs::hist::LogHistogram;
 use std::time::Instant;
@@ -80,7 +80,7 @@ fn overload_config(cfg: &ShardBenchConfig) -> OverloadBenchConfig {
     }
 }
 
-fn shard_nids(plan: &AddressPlan, cfg: &ShardBenchConfig, shards: usize) -> ShardedNids {
+fn shard_nids(plan: &AddressPlan, cfg: &ShardBenchConfig, shards: usize) -> Nids {
     let mut config = NidsConfig {
         honeypots: plan.honeypots.clone(),
         dark_nets: vec![(plan.dark_net, 16)],
@@ -90,7 +90,7 @@ fn shard_nids(plan: &AddressPlan, cfg: &ShardBenchConfig, shards: usize) -> Shar
     config.memory_budget = cfg.memory_budget;
     config.shards = shards;
     config.shard_mailbox = cfg.mailbox;
-    ShardedNids::new(config)
+    Nids::new(config)
 }
 
 /// One measured shard count.

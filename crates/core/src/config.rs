@@ -85,11 +85,12 @@ pub struct NidsConfig {
     /// `honeypots` and `dark_nets`. On by default; disable for the
     /// everything-is-analyzed baseline (`--prefilter off`).
     pub prefilter: bool,
-    /// Front-half shard count for [`ShardedNids`](crate::ShardedNids):
-    /// `0` or `1` (the default) keeps the seed's sequential front half;
-    /// `N >= 2` splits prefilter → reassembly across N shard threads
-    /// keyed by the canonical flow hash, each owning its slice of the
-    /// flow table. Plain [`Nids`](crate::Nids) ignores this field.
+    /// Front-half shard count for [`Nids`](crate::Nids): `0` or `1` (the
+    /// default) runs the per-flow front half (pre-filter → reassembly)
+    /// inline on the capture thread; `N >= 2` runs N of them on shard
+    /// threads keyed by the canonical flow hash, each owning its slice of
+    /// the flow table. A deployment setting: alerts and the ledger are
+    /// identical at every value.
     pub shards: usize,
     /// Capacity of each shard's bounded mailbox, in packets. A full
     /// mailbox blocks the capture driver (backpressure) instead of
@@ -166,7 +167,7 @@ mod tests {
         // The fast path is on by default: rejected packets are cheap, and
         // the e2e suite pins that attack alerts are unchanged by the gate.
         assert!(c.prefilter);
-        // One shard = the seed's sequential front half, byte-identical.
+        // One shard = the inline front half: no thread, no mailbox.
         assert_eq!(c.shards, 1);
         assert_eq!(c.shard_mailbox, DEFAULT_SHARD_MAILBOX);
         // Conservative default: first copy wins, matching the seed

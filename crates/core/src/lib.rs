@@ -15,7 +15,9 @@
 //! The classifier prunes traffic (honeypot + dark-space schemes, §4.1);
 //! only suspicious sources' flows are reassembled and handed to extraction;
 //! only extracted binary frames reach the CPU-intensive disassembly and
-//! template matching. Flow analysis is data-parallel on the `snids-exec`
+//! template matching. The per-flow part of the front half (pre-filter,
+//! reassembly) is one `FrontHalf`, run inline or on `NidsConfig::shards`
+//! shard threads. Flow analysis is data-parallel on the `snids-exec`
 //! work-stealing pool: flows are independent, so the expensive tail scales
 //! across cores with no shared mutable state. Small flows are batched into
 //! coarse tasks (see [`TARGET_BATCH_BYTES`]) so per-task overhead never
@@ -27,24 +29,25 @@
 
 pub mod alert;
 pub mod config;
-pub mod shard;
+mod front;
+mod shard;
 pub mod stats;
 
 pub use alert::Alert;
 pub use config::NidsConfig;
-pub use shard::ShardedNids;
 pub use snids_semantic::DataflowMode;
 pub use stats::{DropCounters, DropReason, PipelineStats};
 
+use front::{Barrier, FrontCounters, FrontHalf, Tracked};
+use shard::Shards;
 use snids_classify::{DarkSpaceMonitor, HoneypotRegistry, Subnet, TrafficClassifier};
 use snids_extract::BinaryExtractor;
 use snids_flow::{
-    DefragDrop, DefragOutcome, Defragmenter, Flow, FlowKey, FlowTable, MemoryBudget, PressureLevel,
-    ShedCause, ShedFlow,
+    DefragDrop, DefragOutcome, Defragmenter, Flow, FlowKey, MemoryBudget, PressureLevel, ShedCause,
+    ShedFlow,
 };
 use snids_obs::{Event, EventKind, Obs, Stage};
 use snids_packet::{Ipv4Header, Packet, TcpHeader, ETHERNET_HEADER_LEN};
-use snids_prefilter::{Decision, Lane, Prefilter, PrefilterConfig};
 use snids_semantic::{Analyzer, TemplateMatch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -61,7 +64,8 @@ pub struct Nids {
     classifier: TrafficClassifier,
     extractor: BinaryExtractor,
     analyzer: Analyzer,
-    flows: FlowTable,
+    /// Pre-filter and flow tracking: one inline, or one per shard thread.
+    front: Front,
     defrag: Defragmenter,
     stats: PipelineStats,
     parallel: bool,
@@ -69,10 +73,6 @@ pub struct Nids {
     /// shared `snids_exec::global()` pool is used.
     exec: Option<snids_exec::ThreadPool>,
     chaos_panic_marker: Option<Vec<u8>>,
-    /// The three-lane pre-filter fast path between classification and the
-    /// flow table (`None` when `NidsConfig::prefilter` is off: every
-    /// suspicious packet reaches deep analysis, the seed behavior).
-    prefilter: Option<Prefilter>,
     verify_checksums: bool,
     max_frame_bytes: usize,
     /// When the dataflow second pass (slice matching + alternative stream
@@ -87,9 +87,6 @@ pub struct Nids {
     /// The resource governor's shared byte accounting: the flow table and
     /// the defragmenter charge their buffered bytes here.
     budget: Arc<MemoryBudget>,
-    /// Mirror of `NidsConfig::analyze_on_evict`: shed victims are routed
-    /// through the analysis path instead of being discarded.
-    analyze_on_evict: bool,
     /// Victims analyzed on the way out (total, and the subset shed by the
     /// byte budget rather than the count cap) — the core's share of the
     /// shed ledger split.
@@ -100,6 +97,47 @@ pub struct Nids {
     pending_alerts: Vec<Alert>,
     /// Last pressure level observed, for watermark-transition events.
     last_pressure: PressureLevel,
+}
+
+/// Where the per-flow front half runs.
+// One per pipeline, never in a collection: the size gap costs nothing,
+// boxing would cost a pointer chase per packet.
+#[allow(clippy::large_enum_variant)]
+enum Front {
+    /// On the capture thread (`NidsConfig::shards <= 1`): no thread, no
+    /// mailbox.
+    Inline(FrontHalf),
+    /// On shard threads behind bounded mailboxes.
+    Sharded(Shards),
+}
+
+impl Front {
+    /// Every front's counters summed (inline: as of the last refresh;
+    /// sharded: as of the last barrier).
+    fn totals(&self) -> FrontCounters {
+        let fronts = match self {
+            Front::Inline(front) => std::slice::from_ref(front.counters()),
+            Front::Sharded(shards) => shards.counters(),
+        };
+        let mut total = FrontCounters::default();
+        for c in fronts {
+            total.absorb(c);
+        }
+        total
+    }
+
+    /// Pin alerting sources' flows in every front's protection tier.
+    fn protect(&mut self, alerts: &[Alert]) {
+        let mut srcs: Vec<std::net::Ipv4Addr> = alerts.iter().map(|a| a.src).collect();
+        srcs.sort_unstable();
+        srcs.dedup();
+        for src in srcs {
+            match self {
+                Front::Inline(front) => front.protect_source(src),
+                Front::Sharded(shards) => shards.protect_source(src),
+            }
+        }
+    }
 }
 
 /// Cap on retained flight-recorder dumps: enough to debug a burst, small
@@ -240,10 +278,10 @@ fn batch_flows(flows: &[Flow]) -> Vec<&[Flow]> {
     batches
 }
 
-/// What the capture-ordered front half decided about one packet.
-enum FrontOutcome {
-    /// Dropped, buffered or benign: the front half consumed the packet
-    /// and nothing reaches flow tracking.
+/// What the capture-ordered driver stages decided about one packet.
+enum Ingest {
+    /// Dropped, buffered or benign: the driver consumed the packet and
+    /// nothing reaches flow tracking.
     Consumed,
     /// Classified suspicious. `Some` carries the reassembled datagram
     /// when defragmentation produced a new packet; `None` means the
@@ -265,15 +303,24 @@ impl Nids {
             TrafficClassifier::disabled()
         };
         let budget = Arc::new(MemoryBudget::limited(config.memory_budget));
-        let mut flow_config = config.flow_table.clone();
-        // The pipeline owns the analyze-on-evict decision: the table hands
-        // victims back exactly when the governor will analyze them.
-        flow_config.hand_off_shed = config.analyze_on_evict;
+        let obs = if config.observability {
+            Obs::new(config.flight_recorder_capacity)
+        } else {
+            Obs::disabled()
+        };
+        let n = config.shards.max(1);
+        let make_front = || FrontHalf::new(&config, n, Arc::clone(&budget), obs.clone());
+        let front = if n == 1 {
+            Front::Inline(make_front())
+        } else {
+            let fronts = (0..n).map(|_| make_front()).collect();
+            Front::Sharded(Shards::spawn(fronts, config.shard_mailbox, obs.clone()))
+        };
         Nids {
             classifier,
             extractor: BinaryExtractor::new(config.extractor.clone()),
             analyzer: Analyzer::new(config.templates.clone()),
-            flows: FlowTable::with_budget(flow_config, Arc::clone(&budget)),
+            front,
             defrag: Defragmenter::with_budget(
                 snids_flow::DefragConfig::default(),
                 Arc::clone(&budget),
@@ -282,23 +329,12 @@ impl Nids {
             parallel: config.parallel,
             exec: (config.threads > 0).then(|| snids_exec::ThreadPool::new(config.threads)),
             chaos_panic_marker: config.chaos_analysis_panic_marker.clone(),
-            prefilter: config.prefilter.then(|| {
-                Prefilter::new(PrefilterConfig::deployment_rules(
-                    &config.honeypots,
-                    &config.dark_nets,
-                ))
-            }),
             verify_checksums: config.verify_checksums,
             max_frame_bytes: config.max_frame_bytes.max(1),
             dataflow: config.dataflow,
-            obs: if config.observability {
-                Obs::new(config.flight_recorder_capacity)
-            } else {
-                Obs::disabled()
-            },
+            obs,
             flight_dumps: Vec::new(),
             budget,
-            analyze_on_evict: config.analyze_on_evict,
             shed_analyzed: 0,
             shed_analyzed_budget: 0,
             pending_alerts: Vec::new(),
@@ -331,95 +367,92 @@ impl Nids {
         self.pool().stats()
     }
 
-    /// Mirror ledger totals and pool self-profiling into the obs registry
-    /// so a snapshot is self-contained. Cheap enough to call before every
-    /// exposition; a no-op when observability is off.
+    /// Shard mailbox backpressure: `(blocked_sends, peak_depth)` summed
+    /// and maxed over the shards — `(0, 0)` with the inline front.
+    pub fn backpressure(&self) -> (u64, u64) {
+        match &self.front {
+            Front::Inline(_) => (0, 0),
+            Front::Sharded(shards) => shards.backpressure(),
+        }
+    }
+
+    /// Mirror the ledger, the fronts' flow-table gauges and pool
+    /// self-profiling into the obs registry so a snapshot is
+    /// self-contained; per-shard gauges only when the front is sharded.
+    /// A no-op when observability is off.
     fn publish_gauges(&self) {
-        if !self.obs.enabled() {
+        let obs = &self.obs;
+        if !obs.enabled() {
             return;
         }
+        let s = &self.stats;
         for reason in DropReason::ALL {
-            self.obs.set_named(
-                &format!("drop.{}", reason.name()),
-                self.stats.drops.get(reason),
-            );
+            obs.set_named(&format!("drop.{}", reason.name()), s.drops.get(reason));
         }
-        self.obs
-            .set_named("snids_packets_total", self.stats.packets);
-        self.obs
-            .set_named("snids_processed_total", self.stats.processed);
-        self.obs
-            .set_named("snids_flows_analyzed_total", self.stats.flows_analyzed);
-        self.obs.set_named("snids_alerts_total", self.stats.alerts);
-        self.obs
-            .set_named("snids_prefilter_passed_total", self.stats.prefilter_passed);
-        self.obs.set_named(
-            "snids_prefilter_escalated_total",
-            self.stats.prefilter_escalated,
-        );
-        self.obs.set_named(
-            "snids_prefilter_rejected_total",
-            self.stats.prefilter_rejected,
-        );
-        for (lane, rule, n) in &self.stats.lane_hits {
-            self.obs.set_named(
+        for (lane, rule, n) in &s.lane_hits {
+            obs.set_named(
                 &format!("snids_prefilter_lane_hits_total{{lane=\"{lane}\",rule=\"{rule}\"}}"),
                 *n,
             );
         }
-        self.obs
-            .set_named("snids_budget_limit_bytes", self.budget.limit());
-        self.obs
-            .set_named("snids_budget_tracked_bytes", self.budget.tracked());
-        self.obs
-            .set_named("snids_budget_peak_bytes", self.budget.peak());
-        self.obs
-            .set_named("snids_budget_pressure_level", self.budget.level().code());
-        self.obs
-            .set_named("snids_flows_protected", self.flows.protected_len() as u64);
-        self.obs
-            .set_named("snids_flows_degraded_total", self.flows.degraded_flows());
-        self.obs
-            .set_named("snids_flows_shed_total", self.flows.evicted());
+        let fronts = self.front.totals();
         let pool = self.pool_stats();
-        self.obs
-            .set_named("snids_pool_threads", pool.threads as u64);
-        self.obs
-            .set_named("snids_pool_injected_total", pool.injected);
-        self.obs
-            .set_named("snids_pool_injector_depth", pool.injector_depth as u64);
-        self.obs
-            .set_named("snids_pool_tasks_panicked_total", pool.tasks_panicked);
+        for (name, value) in [
+            ("snids_packets_total", s.packets),
+            ("snids_processed_total", s.processed),
+            ("snids_flows_analyzed_total", s.flows_analyzed),
+            ("snids_alerts_total", s.alerts),
+            ("snids_prefilter_passed_total", s.prefilter_passed),
+            ("snids_prefilter_escalated_total", s.prefilter_escalated),
+            ("snids_prefilter_rejected_total", s.prefilter_rejected),
+            ("snids_budget_limit_bytes", self.budget.limit()),
+            ("snids_budget_tracked_bytes", self.budget.tracked()),
+            ("snids_budget_peak_bytes", self.budget.peak()),
+            ("snids_budget_pressure_level", self.budget.level().code()),
+            ("snids_flows_protected", fronts.protected_len),
+            ("snids_flows_degraded_total", s.degraded_flows),
+            ("snids_flows_shed_total", fronts.evicted),
+            ("snids_pool_threads", pool.threads as u64),
+            ("snids_pool_injected_total", pool.injected),
+            ("snids_pool_injector_depth", pool.injector_depth as u64),
+            ("snids_pool_tasks_panicked_total", pool.tasks_panicked),
+        ] {
+            obs.set_named(name, value);
+        }
         for (i, w) in pool.workers.iter().enumerate() {
-            self.obs.set_named(
+            obs.set_named(
                 &format!("snids_pool_tasks_total{{thread=\"{i}\"}}"),
                 w.tasks,
             );
-            self.obs.set_named(
+            obs.set_named(
                 &format!("snids_pool_steals_total{{thread=\"{i}\"}}"),
                 w.steals,
             );
-            self.obs.set_named(
+            obs.set_named(
                 &format!("snids_pool_busy_nanos_total{{thread=\"{i}\"}}"),
                 w.busy_nanos,
             );
         }
+        if let Front::Sharded(shards) = &self.front {
+            shards.publish_gauges();
+        }
     }
 
-    /// A deterministic point-in-time metrics snapshot (ledger totals and
-    /// pool stats freshly mirrored in).
-    pub fn obs_snapshot(&self) -> snids_obs::Snapshot {
+    /// A deterministic point-in-time metrics snapshot (ledger freshly
+    /// merged, gauges and pool stats freshly mirrored in).
+    pub fn obs_snapshot(&mut self) -> snids_obs::Snapshot {
+        self.sync_ledger();
         self.publish_gauges();
         self.obs.snapshot()
     }
 
     /// The Prometheus-style text exposition page for this pipeline.
-    pub fn metrics_page(&self) -> String {
+    pub fn metrics_page(&mut self) -> String {
         snids_obs::expo::render_text(&self.obs_snapshot())
     }
 
     /// The JSON metrics snapshot for this pipeline.
-    pub fn metrics_json(&self) -> String {
+    pub fn metrics_json(&mut self) -> String {
         snids_obs::expo::render_json(&self.obs_snapshot())
     }
 
@@ -503,7 +536,11 @@ impl Nids {
         Nids::new(NidsConfig::default())
     }
 
-    /// Pipeline statistics so far.
+    /// Pipeline statistics. The driver's own counters (packets,
+    /// classification, analysis) are live; the whole ledger — pre-filter,
+    /// reassembly, shed and defragmentation figures merged in — is
+    /// authoritative after [`Nids::poll`], [`Nids::finish`],
+    /// [`Nids::absorb_read_stats`] and [`Nids::obs_snapshot`].
     pub fn stats(&self) -> &PipelineStats {
         &self.stats
     }
@@ -512,56 +549,58 @@ impl Nids {
     /// decoding a capture and feeding its packets through the pipeline).
     pub fn absorb_read_stats(&mut self, rs: &snids_packet::ReadStats) {
         self.stats.absorb_read_stats(rs);
+        self.sync_ledger();
     }
 
-    /// Copy the cumulative per-stage drop tallies into the stats ledgers.
-    fn sync_drop_counters(&mut self) {
-        if let Some(pf) = &self.prefilter {
-            // Cumulative like the drop counters: set, don't add.
-            self.stats.lane_hits = pf
-                .rule_hits()
-                .map(|(lane, rule, n)| (lane.to_string(), rule.to_string(), n))
-                .collect();
+    /// Merge every front's counters, the defragmenter's tallies and the
+    /// shed attribution into the ledger. All sources are cumulative, so
+    /// this sets rather than adds.
+    fn sync_ledger(&mut self) {
+        if let Front::Inline(front) = &mut self.front {
+            front.refresh();
         }
+        let fronts = self.front.totals();
+        let s = &mut self.stats;
+        s.prefilter_passed = fronts.prefilter_passed;
+        s.prefilter_escalated = fronts.prefilter_escalated;
+        s.prefilter_rejected = fronts.prefilter_rejected;
+        s.prefilter_nanos = fronts.prefilter_nanos;
+        s.lane_hits = fronts.lane_hits;
+        s.reassembly_nanos = fronts.reassembly_nanos;
+        s.overlap_conflict_bytes = fronts.overlap_conflict_bytes;
+        s.degraded_flows = fronts.degraded_flows;
+        s.memory_limit_bytes = self.budget.limit();
+        s.peak_tracked_bytes = self.budget.peak();
         let ds = self.defrag.stats();
-        self.stats
-            .drops
-            .set(DropReason::DefragCapExceeded, ds.cap_exceeded);
-        self.stats
-            .drops
-            .set(DropReason::DefragOversize, ds.oversize);
-        self.stats.drops.set(DropReason::DefragTimeout, ds.timeout);
-        self.stats.drops.set(DropReason::DefragInvalid, ds.invalid);
-        self.stats
-            .drops
-            .set(DropReason::DefragIncomplete, ds.incomplete);
+        for (reason, n) in [
+            (DropReason::PrefilterRejected, fronts.prefilter_rejected),
+            (DropReason::StreamTruncated, fronts.truncated_flows),
+            (DropReason::DefragCapExceeded, ds.cap_exceeded),
+            (DropReason::DefragOversize, ds.oversize),
+            (DropReason::DefragTimeout, ds.timeout),
+            (DropReason::DefragInvalid, ds.invalid),
+            (DropReason::DefragIncomplete, ds.incomplete),
+        ] {
+            s.drops.set(reason, n);
+        }
         // Shed attribution: victims analyzed on the way out land under
         // `shed_analyzed` (the detection opportunity survived); discarded
         // victims keep the seed's `flow_evicted` name for count-cap
         // evictions and `shed_unanalyzed` for byte-budget sheds.
-        let evicted = self.flows.evicted();
-        let by_budget = self.flows.evicted_by_budget();
+        let by_budget = fronts.evicted_by_budget;
         let analyzed_count_cap = self.shed_analyzed.saturating_sub(self.shed_analyzed_budget);
-        self.stats
-            .drops
-            .set(DropReason::ShedAnalyzed, self.shed_analyzed);
-        self.stats.drops.set(
+        s.drops.set(DropReason::ShedAnalyzed, self.shed_analyzed);
+        s.drops.set(
             DropReason::ShedUnanalyzed,
             by_budget.saturating_sub(self.shed_analyzed_budget),
         );
-        self.stats.drops.set(
+        s.drops.set(
             DropReason::FlowEvicted,
-            evicted
+            fronts
+                .evicted
                 .saturating_sub(by_budget)
                 .saturating_sub(analyzed_count_cap),
         );
-        self.stats
-            .drops
-            .set(DropReason::StreamTruncated, self.flows.truncated_flows());
-        self.stats.overlap_conflict_bytes = self.flows.overlap_conflict_bytes();
-        self.stats.memory_limit_bytes = self.budget.limit();
-        self.stats.peak_tracked_bytes = self.budget.peak();
-        self.stats.degraded_flows = self.flows.degraded_flows();
     }
 
     /// Record a watermark-transition flight event when the pressure level
@@ -586,6 +625,16 @@ impl Nids {
                 reason: level.code() as u16,
             });
         }
+    }
+
+    /// Act on what tracking a packet handed back: an unanalyzed eviction
+    /// is the end of that flow's story, so dump its flight trail; shed
+    /// victims go to analyze-on-evict.
+    fn act_on(&mut self, tracked: Tracked) {
+        if let Some(k) = tracked.evicted.filter(|_| self.obs.enabled()) {
+            self.dump_flight("flow_evicted", k.src, k.dst, k.dst_port);
+        }
+        self.handle_shed(tracked.shed);
     }
 
     /// Analyze-on-evict: run victims the table shed under pressure through
@@ -615,9 +664,7 @@ impl Nids {
             flows.push(s.flow);
         }
         let alerts = self.analyze_flows(flows);
-        for a in &alerts {
-            self.flows.protect_source(a.src);
-        }
+        self.front.protect(&alerts);
         self.pending_alerts.extend(alerts);
     }
 
@@ -652,22 +699,29 @@ impl Nids {
     /// ends up in exactly one ledger slot: `processed` (possibly later,
     /// when its datagram completes) or a packet-level drop counter.
     pub fn process_packet(&mut self, packet: &Packet) {
-        match self.ingest_front(packet) {
-            FrontOutcome::Consumed => {}
-            FrontOutcome::Suspicious(whole) => {
-                let suspicious = whole.as_ref().unwrap_or(packet);
-                self.track_suspicious(suspicious);
+        if let Ingest::Suspicious(whole) = self.ingest(packet) {
+            match &mut self.front {
+                Front::Inline(front) => {
+                    let tracked = front.track(whole.as_ref().unwrap_or(packet));
+                    self.act_on(tracked);
+                }
+                Front::Sharded(shards) => shards.dispatch(whole.unwrap_or_else(|| packet.clone())),
             }
         }
+        if let Front::Sharded(shards) = &self.front {
+            for tracked in shards.ready() {
+                self.act_on(tracked);
+            }
+        }
+        self.note_pressure();
     }
 
-    /// The capture-ordered front of [`Nids::process_packet`]: ledger
+    /// The capture-ordered start of [`Nids::process_packet`]: ledger
     /// entry, checksum verification, defragmentation and classification.
     /// These stages carry cross-flow per-source state (honeypot taint,
-    /// dark-space counts, fragment reassembly), so the sharded driver
-    /// runs them sequentially on the capture thread and only dispatches
-    /// the suspicious survivors to the per-flow shards.
-    fn ingest_front(&mut self, packet: &Packet) -> FrontOutcome {
+    /// dark-space counts, fragment reassembly), so they stay on the
+    /// capture thread and only the suspicious survivors reach a front.
+    fn ingest(&mut self, packet: &Packet) -> Ingest {
         let observing = self.obs.enabled();
         self.stats.packets += 1;
         let t_cap = if observing {
@@ -697,7 +751,7 @@ impl Nids {
                     Some(DropReason::ChecksumFailed),
                 );
             }
-            return FrontOutcome::Consumed;
+            return Ingest::Consumed;
         }
         // Defragment before anything else; incomplete fragments buffer.
         let mut whole: Option<Packet> = None;
@@ -735,9 +789,7 @@ impl Nids {
                 DefragOutcome::Buffered => {
                     // Buffered fragments are credited when their datagram
                     // resolves.
-                    self.sync_drop_counters();
-                    self.note_pressure();
-                    return FrontOutcome::Consumed;
+                    return Ingest::Consumed;
                 }
                 DefragOutcome::Dropped(drop) => {
                     // The drop was tallied by the defragmenter; mirror it
@@ -756,9 +808,7 @@ impl Nids {
                             Some(reason),
                         );
                     }
-                    self.sync_drop_counters();
-                    self.note_pressure();
-                    return FrontOutcome::Consumed;
+                    return Ingest::Consumed;
                 }
             }
         } else {
@@ -766,7 +816,6 @@ impl Nids {
         }
         let packet = whole.as_ref().unwrap_or(packet);
         self.stats.processed += pieces;
-        self.sync_drop_counters();
         let t0 = Instant::now();
         let verdict = self.classifier.classify(packet);
         let classify_nanos = t0.elapsed().as_nanos() as u64;
@@ -779,135 +828,10 @@ impl Nids {
             );
         }
         if !verdict.is_suspicious() {
-            self.note_pressure();
-            return FrontOutcome::Consumed;
+            return Ingest::Consumed;
         }
         self.stats.suspicious_packets += 1;
-        FrontOutcome::Suspicious(whole)
-    }
-
-    /// The per-flow back of [`Nids::process_packet`]: the pre-filter
-    /// gate, flow tracking/reassembly, and shed hand-off. All of this
-    /// state is keyed by the packet's flow, which is what lets the
-    /// sharded front half give every shard a private copy.
-    fn track_suspicious(&mut self, packet: &Packet) {
-        let observing = self.obs.enabled();
-        // Pre-filter fast path: suspicious packets no lane escalates skip
-        // reassembly and the analysis tail entirely. Flows already holding
-        // payload stay open-ended (a mid-analysis flow must see its tail).
-        if self.prefilter.is_some() {
-            let t_pf = Instant::now();
-            let key = FlowKey::of(packet);
-            let flow_buffered = key
-                .as_ref()
-                .and_then(|k| self.flows.get(k))
-                .map(|f| f.payload_bytes > 0)
-                .unwrap_or(false);
-            let decision = match self.prefilter.as_mut() {
-                Some(pf) => pf.decide(packet, flow_buffered),
-                None => Decision::Escalate(Lane::Control),
-            };
-            let prefilter_nanos = t_pf.elapsed().as_nanos() as u64;
-            self.stats.prefilter_nanos += prefilter_nanos;
-            if observing {
-                self.obs.record_stage(
-                    Stage::Prefilter,
-                    prefilter_nanos,
-                    packet.payload().len() as u64,
-                );
-                if let Some(k) = key.as_ref() {
-                    self.obs
-                        .flow_charge(flow_latency_id(k), Stage::Prefilter, prefilter_nanos);
-                }
-            }
-            match decision {
-                Decision::Escalate(Lane::Sticky) => self.stats.prefilter_escalated += 1,
-                Decision::Escalate(_) => self.stats.prefilter_passed += 1,
-                Decision::Reject => {
-                    self.stats.prefilter_rejected += 1;
-                    self.stats.drops.inc(DropReason::PrefilterRejected);
-                    if observing {
-                        self.obs_event(
-                            Stage::Prefilter,
-                            EventKind::Drop,
-                            key.as_ref(),
-                            packet.payload().len() as u64,
-                            Some(DropReason::PrefilterRejected),
-                        );
-                    }
-                    self.note_pressure();
-                    return;
-                }
-            }
-        }
-        let t1 = Instant::now();
-        let outcome = self.flows.process_tracked(packet);
-        let reassembly_nanos = t1.elapsed().as_nanos() as u64;
-        self.stats.reassembly_nanos += reassembly_nanos;
-        if observing {
-            self.obs.record_stage(
-                Stage::Reassembly,
-                reassembly_nanos,
-                outcome.segment_bytes as u64,
-            );
-            if let Some(k) = outcome.key.as_ref() {
-                self.obs
-                    .flow_charge(flow_latency_id(k), Stage::Reassembly, reassembly_nanos);
-            }
-            // The flight recorder tracks suspicious (tracked) traffic:
-            // only those flows can later alert or be dropped with a trail
-            // worth dumping, and skipping the benign majority keeps the
-            // enabled-mode overhead inside its budget.
-            self.obs_event(
-                Stage::Capture,
-                EventKind::Ingest,
-                outcome.key.as_ref(),
-                outcome.segment_bytes as u64,
-                None,
-            );
-            // With analyze-on-evict the victim's events come from
-            // handle_shed under the shed_analyzed reason instead.
-            if let Some(evicted) = outcome.evicted.filter(|_| !self.analyze_on_evict) {
-                self.obs_event(
-                    Stage::Reassembly,
-                    EventKind::Drop,
-                    Some(&evicted),
-                    0,
-                    Some(DropReason::FlowEvicted),
-                );
-                // An unanalyzed eviction is the end of this flow's story:
-                // settle its latency trail under the dropped outcome
-                // before dumping, so the dump carries it.
-                self.obs
-                    .flow_settle(&flow_latency_id(&evicted), snids_obs::FlowOutcome::Dropped);
-                let (src, dst, port) = (evicted.src, evicted.dst, evicted.dst_port);
-                self.dump_flight("flow_evicted", src, dst, port);
-            }
-            if outcome.conflict_bytes > 0 {
-                self.obs_event(
-                    Stage::Reassembly,
-                    EventKind::Conflict,
-                    outcome.key.as_ref(),
-                    outcome.conflict_bytes,
-                    None,
-                );
-            }
-            if outcome.truncated {
-                self.obs_event(
-                    Stage::Reassembly,
-                    EventKind::Drop,
-                    outcome.key.as_ref(),
-                    outcome.segment_bytes as u64,
-                    Some(DropReason::StreamTruncated),
-                );
-            }
-        }
-        // Victims the table shed under pressure (count cap or critical
-        // watermark) are drained through the analysis path right away —
-        // eviction must not skip detection.
-        let shed = self.flows.take_shed();
-        self.handle_shed(shed);
-        self.note_pressure();
+        Ingest::Suspicious(whole)
     }
 
     /// Stages 3–5 for one application payload: extraction, disassembly,
@@ -947,19 +871,17 @@ impl Nids {
 
     /// Drain and analyze all pending flows, producing alerts.
     ///
-    /// Flow payloads are independent, so this is the rayon-parallel stage.
+    /// Flow payloads are independent, so this is the pool-parallel stage.
     /// Fragments still buffered in the defragmenter will never complete
     /// now, so they are drained and accounted first — after `finish` the
     /// packet ledger balances exactly.
     pub fn finish(&mut self) -> Vec<Alert> {
         self.defrag.drain_incomplete();
-        let shed = self.flows.take_shed();
-        self.handle_shed(shed);
-        let flows = self.flows.drain();
+        let flows = self.barrier(Barrier::Drain);
         let mut alerts = std::mem::take(&mut self.pending_alerts);
         alerts.extend(self.analyze_flows(flows));
         let alerts = self.finalize_alerts(alerts);
-        self.sync_drop_counters();
+        self.sync_ledger();
         self.note_pressure();
         if self.obs.enabled() {
             // Flows that left the pipeline without an analysis verdict
@@ -985,15 +907,32 @@ impl Nids {
     /// memory stays bounded and alerts arrive while the attack is still
     /// in progress, then [`Nids::finish`] once at teardown.
     pub fn poll(&mut self, now: u64) -> Vec<Alert> {
-        let expired = self.flows.expire(now);
-        if expired.is_empty() && self.pending_alerts.is_empty() {
-            return Vec::new();
-        }
-        let mut alerts = std::mem::take(&mut self.pending_alerts);
-        alerts.extend(self.analyze_flows(expired));
-        let alerts = self.finalize_alerts(alerts);
-        self.sync_drop_counters();
+        let expired = self.barrier(Barrier::Expire(now));
+        let alerts = if expired.is_empty() && self.pending_alerts.is_empty() {
+            Vec::new()
+        } else {
+            let mut alerts = std::mem::take(&mut self.pending_alerts);
+            alerts.extend(self.analyze_flows(expired));
+            self.finalize_alerts(alerts)
+        };
+        self.sync_ledger();
         alerts
+    }
+
+    /// The flows `barrier` completes on every front (sharded: in
+    /// shard-index order), after acting on whatever the shards handed
+    /// back while they got there.
+    fn barrier(&mut self, barrier: Barrier) -> Vec<Flow> {
+        match &mut self.front {
+            Front::Inline(front) => front.complete(barrier),
+            Front::Sharded(shards) => {
+                let (flows, tracked) = shards.barrier(barrier);
+                for t in tracked {
+                    self.act_on(t);
+                }
+                flows
+            }
+        }
     }
 
     /// Stages 3–5 over a set of drained flows, sharded across the pool.
@@ -1257,9 +1196,7 @@ impl Nids {
                 && a.dst_port == b.dst_port
         });
         self.stats.alerts += alerts.len() as u64;
-        for alert in &alerts {
-            self.flows.protect_source(alert.src);
-        }
+        self.front.protect(&alerts);
         if self.obs.enabled() {
             // An alert is a confirmed detection — record it and dump the
             // flow's recorded trail.

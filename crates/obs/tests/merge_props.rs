@@ -56,9 +56,13 @@ fn scrape_of(label: &str, snap: Snapshot) -> WorkerScrape {
     }
 }
 
+/// One worker's sparse `(bucket, count)` pairs, packet counter and
+/// pressure gauge.
+type WorkerLoad = (Vec<(usize, u64)>, u64, u64);
+
 /// Strategy: K workers, each with sparse bucket counts in the low bands
 /// (where real stage latencies live) plus a counter value.
-fn worker_loads() -> impl Strategy<Value = Vec<(Vec<(usize, u64)>, u64, u64)>> {
+fn worker_loads() -> impl Strategy<Value = Vec<WorkerLoad>> {
     proptest::collection::vec(
         (
             proptest::collection::vec((0usize..BUCKETS, 1u64..1_000), 0..12),

@@ -63,7 +63,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snids::core::{NidsConfig, ShardedNids};
+use snids::core::{Nids, NidsConfig};
 use snids::gen::chaos::{chaos_pcap, ChaosConfig};
 use snids::gen::traces::{codered_capture, AddressPlan};
 use snids::packet::{PcapReader, PcapWriter};
@@ -268,9 +268,9 @@ fn analyze(args: &[String]) -> ExitCode {
     // reader's stats rather than aborting the run.
     let packets = reader.decode_all().unwrap_or_default();
 
-    // ShardedNids with shards=1 (the default) delegates to the plain
-    // sequential pipeline — identical code path, identical output.
-    let mut nids = ShardedNids::new(config);
+    // `--shards N` moves the per-flow front half onto N shard threads;
+    // the default of 1 runs it inline on this thread.
+    let mut nids = Nids::new(config);
     if let Some(label) = worker_label {
         // Instance label: federated expositions tag this worker's series
         // with `worker="LABEL"` so fleet pages stay attributable.

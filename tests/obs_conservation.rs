@@ -7,15 +7,16 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snids::core::{DropReason, Nids, NidsConfig, ShardedNids};
+use snids::core::{DropReason, Nids, NidsConfig};
 use snids::gen::chaos::{chaos_pcap, ChaosConfig};
 use snids::gen::traces::{codered_capture, AddressPlan};
 use snids::obs::Stage;
 use snids::packet::PcapReader;
 use std::io::Cursor;
 
-/// Run the chaos corpus through an observed pipeline and return it.
-fn observed_chaos_run(seed: u64, chaos: &ChaosConfig) -> Nids {
+/// Run the chaos corpus through an observed pipeline with `shards`
+/// front halves and return it.
+fn observed_chaos_run(seed: u64, chaos: &ChaosConfig, shards: usize) -> Nids {
     let plan = AddressPlan::default();
     let mut rng = StdRng::seed_from_u64(seed);
     let (packets, _truth) = codered_capture(&mut rng, &plan, 1200, 3);
@@ -29,11 +30,34 @@ fn observed_chaos_run(seed: u64, chaos: &ChaosConfig) -> Nids {
         honeypots: plan.honeypots.clone(),
         dark_nets: vec![(plan.dark_net, 16)],
         observability: true,
+        shards,
         ..NidsConfig::default()
     });
     nids.process_capture(&decoded);
     nids.absorb_read_stats(&reader.read_stats());
     nids
+}
+
+/// The named gauges that must not depend on the shard count: the drop
+/// ledger, the pipeline totals, the pre-filter verdicts and the shed
+/// count (not timings, peaks, pool or per-shard gauges).
+fn deterministic_gauges(snap: &snids::obs::Snapshot) -> Vec<(String, u64)> {
+    snap.named
+        .iter()
+        .filter(|(name, _)| {
+            name.starts_with("drop.")
+                || (name.starts_with("snids_prefilter_") && name.contains("_total"))
+                || [
+                    "snids_packets_total",
+                    "snids_processed_total",
+                    "snids_flows_analyzed_total",
+                    "snids_alerts_total",
+                    "snids_flows_shed_total",
+                ]
+                .contains(&name.as_str())
+        })
+        .map(|(name, v)| (name.to_string(), *v))
+        .collect()
 }
 
 #[test]
@@ -42,9 +66,9 @@ fn obs_counters_conserve_against_the_ledger_under_chaos() {
         flood_flows: 48,
         ..ChaosConfig::with_rate(0.15)
     };
-    let nids = observed_chaos_run(0xC0DE, &chaos);
-    let stats = nids.stats();
+    let mut nids = observed_chaos_run(0xC0DE, &chaos, 1);
     let snap = nids.obs_snapshot();
+    let stats = nids.stats();
     assert!(snap.enabled);
 
     // Exactly one capture-stage event per packet fed in: the stage
@@ -99,33 +123,28 @@ fn obs_counters_conserve_against_the_ledger_under_chaos() {
 #[test]
 fn obs_counters_conserve_at_four_shards() {
     // The same conservation law with the front half sharded four ways:
-    // the merged ledger (driver stats + per-shard ledgers) is what the
+    // the merged ledger (driver stats + per-shard counters) is what the
     // gauges must mirror, and the capture stage still counts every
     // packet exactly once because classification stays on the driver.
     let chaos = ChaosConfig {
         flood_flows: 48,
         ..ChaosConfig::with_rate(0.15)
     };
-    let plan = AddressPlan::default();
-    let mut rng = StdRng::seed_from_u64(0xC0DE);
-    let (packets, _truth) = codered_capture(&mut rng, &plan, 1200, 3);
-    let (bytes, _log) = chaos_pcap(&mut rng, &packets, &chaos);
-    let mut reader =
-        PcapReader::new(Cursor::new(bytes)).expect("chaos keeps the global header valid");
-    let decoded = reader.decode_all().unwrap_or_default();
-
-    let mut nids = ShardedNids::new(NidsConfig {
-        honeypots: plan.honeypots.clone(),
-        dark_nets: vec![(plan.dark_net, 16)],
-        observability: true,
-        shards: 4,
-        ..NidsConfig::default()
-    });
-    nids.process_capture(&decoded);
-    nids.absorb_read_stats(&reader.read_stats());
-    let stats = nids.stats().clone();
+    let mut nids = observed_chaos_run(0xC0DE, &chaos, 4);
     let snap = nids.obs_snapshot();
+    let stats = nids.stats().clone();
     assert!(snap.enabled);
+
+    // One gauge publisher: every deterministic gauge reads the same as
+    // with the inline front half on the same corpus.
+    let inline = observed_chaos_run(0xC0DE, &chaos, 1).obs_snapshot();
+    let gauges = deterministic_gauges(&snap);
+    assert!(gauges.len() > DropReason::ALL.len() + 5, "{gauges:?}");
+    assert_eq!(gauges, deterministic_gauges(&inline));
+    assert!(!inline
+        .named
+        .iter()
+        .any(|(n, _)| n.starts_with("snids_shard")));
 
     let capture = snap
         .stages
@@ -189,7 +208,7 @@ fn exposition_is_deterministic_and_escaped() {
         flood_flows: 16,
         ..ChaosConfig::with_rate(0.1)
     };
-    let nids = observed_chaos_run(7, &chaos);
+    let mut nids = observed_chaos_run(7, &chaos, 1);
 
     // Repeated rendering of a quiescent pipeline is byte-identical: the
     // snapshot orders stages positionally and named counters
@@ -220,7 +239,7 @@ fn alerts_on_the_chaos_corpus_leave_flight_dumps() {
         truncate_tail: false,
         bogus_incl_len: false,
     };
-    let nids = observed_chaos_run(1, &chaos);
+    let mut nids = observed_chaos_run(1, &chaos, 1);
     assert!(
         !nids.flight_dumps().is_empty(),
         "alerting run must produce flight dumps"

@@ -1,12 +1,11 @@
-//! Differential shard-equivalence suite: the sharded streaming front half
-//! must be *observably identical* to the sequential pipeline. For every
-//! corpus — the clean worm capture, the desync chaos sweep under all four
-//! overlap policies, and tainted benign traffic — the rendered alert
-//! stream at `--shards 1`, `--shards 2`, and `--shards 8` must be
-//! byte-identical, and the merged stats ledgers must agree on every
-//! deterministic field and still balance. `--shards 1` additionally must
-//! be byte-identical to the seed `Nids` engine, so the sharded driver is
-//! provably a pure refactor at its default setting.
+//! Differential shard-equivalence suite: `NidsConfig::shards` is a
+//! deployment setting of the one pipeline, so it must be *unobservable*.
+//! For every corpus — the clean worm capture, the desync chaos sweep
+//! under all four overlap policies, tainted benign traffic, and count-cap
+//! evictions — the rendered alert stream at `--shards 1` (the inline
+//! front half), `--shards 2` and `--shards 8` must be byte-identical, the
+//! stats ledgers must agree on every deterministic field and still
+//! balance, and the flight recorder must dump the same flows.
 //!
 //! Alerts are totally ordered by `(src, template, start, dst, dst_port)`
 //! before dedup, so shard drain order is unobservable by construction —
@@ -16,13 +15,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snids::bench::desync::{build_capture, DesyncBenchConfig};
 use snids::bench::overload::{self, OverloadBenchConfig};
-use snids::core::{Nids, NidsConfig, PipelineStats, ShardedNids};
+use snids::core::{Nids, NidsConfig, PipelineStats};
 use snids::flow::OverlapPolicy;
 use snids::gen::traces::{codered_capture, tainted_benign_flows, AddressPlan};
 use snids::packet::Packet;
 
-/// The shard counts every corpus is replayed at. 1 is the sequential
-/// delegate, 2 exercises the split, 8 exceeds the distinct address-pair
+/// The shard counts every corpus is replayed at. 1 runs the front half
+/// inline, 2 exercises the split, 8 exceeds the distinct address-pair
 /// spread of the small corpora so some shards stay idle.
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -55,9 +54,9 @@ fn deterministic(
     )
 }
 
-/// Replay a capture through a `ShardedNids` and return the rendered
-/// alert stream plus the deterministic ledger projection, after checking
-/// the merged ledger balances and the budget drained to zero.
+/// Replay a capture at `shards` and return the rendered alert stream plus
+/// the deterministic ledger projection, after checking the ledger
+/// balances and the budget drained to zero.
 #[allow(clippy::type_complexity)]
 fn run_sharded(
     mut config: NidsConfig,
@@ -73,7 +72,7 @@ fn run_sharded(
     ),
 ) {
     config.shards = shards;
-    let mut nids = ShardedNids::new(config);
+    let mut nids = Nids::new(config);
     let alerts = nids.process_capture(packets);
     let stats = nids.stats();
     assert!(
@@ -99,30 +98,20 @@ fn run_sharded(
     (rendered, deterministic(stats))
 }
 
-/// The differential harness: replay one corpus at every shard count and
-/// against the seed engine, asserting byte-identical alerts and identical
-/// deterministic ledgers throughout.
+/// The differential harness: replay one corpus at every shard count,
+/// asserting byte-identical alerts and identical deterministic ledgers
+/// against the inline front half.
 fn assert_shard_equivalent(label: &str, config: &NidsConfig, packets: &[Packet]) {
-    // The seed engine is the reference: what the pipeline produced before
-    // the sharded driver existed.
-    let mut seed = Nids::new(config.clone());
-    let seed_alerts = seed.process_capture(packets);
-    let seed_rendered = seed_alerts
-        .iter()
-        .map(|a| a.render())
-        .collect::<Vec<_>>()
-        .join("\n");
-    let seed_stats = deterministic(seed.stats());
-
-    for shards in SHARD_COUNTS {
-        let (rendered, stats) = run_sharded(config.clone(), shards, packets);
+    let (inline_rendered, inline_stats) = run_sharded(config.clone(), 1, packets);
+    for shards in &SHARD_COUNTS[1..] {
+        let (rendered, stats) = run_sharded(config.clone(), *shards, packets);
         assert_eq!(
-            rendered, seed_rendered,
-            "[{label}] alert stream diverged from seed at shards={shards}"
+            rendered, inline_rendered,
+            "[{label}] alert stream diverged from inline at shards={shards}"
         );
         assert_eq!(
-            stats, seed_stats,
-            "[{label}] merged ledger diverged from seed at shards={shards}"
+            stats, inline_stats,
+            "[{label}] ledger diverged from inline at shards={shards}"
         );
     }
 }
@@ -145,9 +134,9 @@ fn worm_capture_is_shard_invariant() {
     assert_shard_equivalent("worm", &config, &packets);
 
     // The corpus is not vacuous: the worm is actually detected, at every
-    // shard count (equivalence to the seed already implies this once the
-    // seed detects it — assert it explicitly so a silent regression in
-    // the generator can't hollow the test out).
+    // shard count (equivalence already implies this once one count
+    // detects it — assert it explicitly so a silent regression in the
+    // generator can't hollow the test out).
     let (rendered, _) = run_sharded(config, 8, &packets);
     for src in &truth.crii_sources {
         assert!(
@@ -237,6 +226,72 @@ fn sharding_survives_memory_pressure_identically() {
         assert!(
             shed > 0,
             "pressure corpus must evict flows at shards={shards}"
+        );
+    }
+}
+
+#[test]
+fn unanalyzed_evictions_dump_the_same_flows_at_every_shard_count() {
+    // One scanner sweeps a honeypot's ports with analyze-on-evict off and
+    // a one-slot flow table: every new flow evicts the previous one
+    // unanalyzed, each eviction is a flight dump. One address pair keeps
+    // all flows on one shard, and a one-slot cap is one slot per shard at
+    // any count, so the evicted set is the same by construction.
+    let plan = AddressPlan::default();
+    let scanner = std::net::Ipv4Addr::new(198, 18, 7, 7);
+    let target = plan.honeypots[0];
+    let mut packets = Vec::new();
+    for (i, port) in (1000u16..1020).enumerate() {
+        let t = 100 + i as u64 * 10;
+        let b = snids::packet::PacketBuilder::new(scanner, target);
+        packets.push(b.clone().at(t).tcp_syn(4000 + port, port, 1).unwrap());
+        packets.push(
+            b.at(t + 1)
+                .tcp(
+                    4000 + port,
+                    port,
+                    2,
+                    0,
+                    snids::packet::TcpFlags::ACK,
+                    b"probe",
+                )
+                .unwrap(),
+        );
+    }
+    let mut config = worm_config(&plan);
+    config.observability = true;
+    config.analyze_on_evict = false;
+    config.flow_table.max_flows = 1;
+
+    let dump_headers = |shards: usize| {
+        let mut config = config.clone();
+        config.shards = shards;
+        let mut nids = Nids::new(config);
+        nids.process_capture(&packets);
+        // `flight[why] src -> dst:port`, without the event count.
+        let mut headers: Vec<String> = nids
+            .flight_dumps()
+            .iter()
+            .filter_map(|d| d.split(" (").next().map(str::to_string))
+            .collect();
+        headers.sort();
+        headers
+    };
+    let inline = dump_headers(1);
+    assert_eq!(
+        inline
+            .iter()
+            .filter(|h| h.starts_with("flight[flow_evicted]"))
+            .count(),
+        19,
+        "every flow but the last is evicted unanalyzed: {inline:?}"
+    );
+    assert!(inline.len() < snids::core::MAX_FLIGHT_DUMPS);
+    for shards in &SHARD_COUNTS[1..] {
+        assert_eq!(
+            dump_headers(*shards),
+            inline,
+            "flight dumps diverged from inline at shards={shards}"
         );
     }
 }
