@@ -12,14 +12,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use snids_core::{Nids, NidsConfig};
 use snids_gen::traces::{copy_protected_corpus, tcp_flow_packets, AddressPlan};
 use snids_semantic::{Analyzer, NaiveAnalyzer};
 use std::time::Instant;
 
 /// A2 result: pruned-vs-naive timing on identical frames.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NaiveVsPruned {
     /// Frame size analyzed.
     pub frame_bytes: usize,
@@ -74,7 +73,7 @@ pub fn naive_vs_pruned(seed: u64, sizes: &[usize]) -> Vec<NaiveVsPruned> {
 }
 
 /// A1 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClassifierAblation {
     /// Copy-protected downloads in the corpus.
     pub downloads: usize,

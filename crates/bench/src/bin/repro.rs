@@ -5,13 +5,9 @@
 //! cargo run --release -p snids-bench --bin repro -- table1
 //! cargo run --release -p snids-bench --bin repro -- table3 --packets 200000
 //! cargo run --release -p snids-bench --bin repro -- fp --bytes 16000000
-//! cargo run --release -p snids-bench --bin repro -- bench --flows 96
-//! cargo run --release -p snids-bench --bin repro -- desync --flows 32
 //! ```
 
-use snids_bench::{
-    ablation, desync, figures, fp, table1, table2, table3, throughput, DEFAULT_SEED,
-};
+use snids_bench::{ablation, figures, fp, table1, table2, table3, DEFAULT_SEED};
 
 fn arg_value(args: &[String], name: &str) -> Option<u64> {
     args.iter()
@@ -28,8 +24,6 @@ fn main() {
     let packets = arg_value(&args, "--packets").unwrap_or(20_000) as usize;
     let traces = arg_value(&args, "--traces").unwrap_or(12) as usize;
     let bytes = arg_value(&args, "--bytes").unwrap_or(4_000_000) as usize;
-    let flows = arg_value(&args, "--flows").unwrap_or(144) as usize;
-    let repeats = arg_value(&args, "--repeats").unwrap_or(3) as usize;
 
     let run_table1 = || {
         println!("== Table 1: Linux shell spawning buffer overflow exploits ==\n");
@@ -52,64 +46,6 @@ fn main() {
         println!("{}", stats.summary());
         print!("{}", stats.drop_report());
         println!();
-    };
-    let run_bench = || {
-        let cfg = throughput::BenchConfig {
-            seed,
-            attack_flows: flows / 3,
-            background_flows: flows - flows / 3,
-            repeats,
-            ..throughput::BenchConfig::default()
-        };
-        println!(
-            "== Throughput: polymorphic storm on the snids-exec pool ({} attack + {} benign flows) ==\n",
-            cfg.attack_flows, cfg.background_flows
-        );
-        let report = throughput::run(&cfg);
-        println!("{}", throughput::render(&report));
-        let json = throughput::to_json(&report);
-        let out = "BENCH_throughput.json";
-        match std::fs::write(out, &json) {
-            Ok(()) => println!("wrote {out}"),
-            Err(e) => {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(1);
-            }
-        }
-        if report.runs.iter().any(|r| !r.identical) {
-            eprintln!("ALERT STREAMS DIVERGED ACROSS WORKER COUNTS");
-            std::process::exit(1);
-        }
-    };
-    let run_desync = || {
-        let mut cfg = desync::DesyncBenchConfig {
-            seed,
-            ..desync::DesyncBenchConfig::default()
-        };
-        if let Some(flows) = arg_value(&args, "--flows") {
-            let flows = (flows as usize).max(2);
-            cfg.attack_flows = flows / 2;
-            cfg.background_flows = flows - flows / 2;
-        }
-        println!(
-            "== Desync: detection degradation vs TCP overlap-fault rate, per policy ({} attack + {} benign flows) ==\n",
-            cfg.attack_flows, cfg.background_flows
-        );
-        let report = desync::run(&cfg);
-        println!("{}", desync::render(&report));
-        let json = desync::to_json(&report);
-        let out = "BENCH_desync.json";
-        match std::fs::write(out, &json) {
-            Ok(()) => println!("wrote {out}"),
-            Err(e) => {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(1);
-            }
-        }
-        if !report.zero_rate_identical {
-            eprintln!("ALERT STREAMS DIVERGED ACROSS POLICIES AT FAULT RATE 0");
-            std::process::exit(1);
-        }
     };
     let run_fp = || {
         println!(
@@ -168,8 +104,6 @@ fn main() {
         }
         "ablation-naive" => run_ablation_naive(),
         "ablation-classifier" => run_ablation_classifier(),
-        "bench" => run_bench(),
-        "desync" => run_desync(),
         "all" => {
             run_table1();
             run_table2();
@@ -183,7 +117,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command `{other}`\n\nusage: repro [table1|table2|table3|fp|fig1..fig7|figures|ablation-naive|ablation-classifier|bench|desync|all]\n       [--seed N] [--instances N] [--packets N] [--traces N] [--bytes N] [--flows N] [--repeats N]"
+                "unknown command `{other}`\n\nusage: repro [table1|table2|table3|fp|fig1..fig7|figures|ablation-naive|ablation-classifier|all]\n       [--seed N] [--instances N] [--packets N] [--traces N] [--bytes N]"
             );
             std::process::exit(2);
         }

@@ -7,12 +7,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use snids_core::{Nids, NidsConfig};
 use std::time::Instant;
 
 /// The outcome of the FP study.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Payloads analyzed.
     pub payloads: usize,

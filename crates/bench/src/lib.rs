@@ -8,17 +8,11 @@
 //! here — see `EXPERIMENTS.md` at the workspace root.
 
 pub mod ablation;
-pub mod desync;
 pub mod figures;
-pub mod fleet;
 pub mod fp;
-pub mod overload;
-pub mod prefilter;
-pub mod shard;
 pub mod table1;
 pub mod table2;
 pub mod table3;
-pub mod throughput;
 
 /// The deterministic base seed used by `repro` (override with `--seed`).
 pub const DEFAULT_SEED: u64 = 2006;

@@ -7,14 +7,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use snids_extract::BinaryExtractor;
 use snids_gen::{binaries, SCENARIOS};
 use snids_semantic::{Analyzer, NaiveAnalyzer};
 use std::time::Instant;
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Exploit (or binary sample) name.
     pub name: &'static str,

@@ -6,14 +6,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use snids_core::{Nids, PipelineStats};
 use snids_gen::exploit::decoder_prefixed_payload;
 use snids_gen::{shellcode, AdmMutate, Clet};
 use snids_semantic::{templates, Analyzer};
 
 /// One row of Table 2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Generator / sample name.
     pub source: &'static str,

@@ -10,14 +10,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use snids_core::{Nids, NidsConfig, PipelineStats};
 use snids_gen::traces::{codered_capture, AddressPlan};
 use std::collections::HashSet;
 use std::time::Instant;
 
 /// One row (one trace) of Table 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Trace number (1-based, as in the paper).
     pub trace: usize,

@@ -72,33 +72,6 @@ pub fn shard_of_packet(packet: &Packet, shards: usize) -> Option<usize> {
     Some(shard_of_pair(ip.src, ip.dst, shards))
 }
 
-/// The fleet worker (out of `workers`) a *source address* routes to.
-///
-/// The fleet harness splits a capture across worker processes, and the
-/// split key must be the source address alone — not the canonical pair —
-/// because the classifier's state (sticky-source escalation, dark-space
-/// probe counting, the worm detector's per-source infection evidence) is
-/// keyed by source. A pair split would scatter one scanner's probes over
-/// every worker and dilute the very evidence the detectors accumulate;
-/// a source split keeps each source's whole story on one worker, so the
-/// union of worker alerts is byte-identical to a single-process run.
-/// `workers == 0` is treated as 1.
-#[inline]
-pub fn fleet_worker_of_source(src: Ipv4Addr, workers: usize) -> usize {
-    match workers {
-        0 | 1 => 0,
-        n => (mix64(u64::from(u32::from(src)) | 0x5EED_0000_0000_0000) % n as u64) as usize,
-    }
-}
-
-/// The fleet worker a decoded packet routes to, from its IP source
-/// address alone. `None` for non-IP frames (the harness keeps those on
-/// worker 0 so no capture bytes are lost).
-#[inline]
-pub fn fleet_worker_of_packet(packet: &Packet, workers: usize) -> Option<usize> {
-    Some(fleet_worker_of_source(packet.ip()?.src, workers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,22 +94,5 @@ mod tests {
         assert_eq!(shard_of_pair(a, b, 0), 0);
         assert_eq!(shard_of_pair(a, b, 1), 0);
         assert!(shard_of_pair(a, b, 8) < 8);
-    }
-
-    #[test]
-    fn fleet_split_is_by_source_stable_and_spread() {
-        let src = Ipv4Addr::new(10, 7, 3, 1);
-        // Deterministic, independent of destination, in range.
-        let w = fleet_worker_of_source(src, 3);
-        assert_eq!(fleet_worker_of_source(src, 3), w);
-        assert!(w < 3);
-        assert_eq!(fleet_worker_of_source(src, 0), 0);
-        assert_eq!(fleet_worker_of_source(src, 1), 0);
-        // Sequential sources (a scanning subnet) still spread.
-        let mut seen = [false; 3];
-        for i in 0..64u8 {
-            seen[fleet_worker_of_source(Ipv4Addr::new(10, 7, 3, i), 3)] = true;
-        }
-        assert_eq!(seen, [true; 3]);
     }
 }

@@ -334,7 +334,7 @@ fn garbage(data: &[u8]) -> Vec<u8> {
 ///
 /// Because the kinds split the policies differently, sweeping the fault
 /// rate yields a *distinct* detection-degradation curve per policy — the
-/// signal the desync bench plots.
+/// signal `tests/desync_e2e.rs` checks.
 pub fn desync_packets<G: RngCore>(
     rng: &mut G,
     packets: &[Packet],

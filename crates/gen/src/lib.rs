@@ -20,6 +20,7 @@ pub mod binaries;
 pub mod chaos;
 pub mod clet;
 pub mod codered;
+pub mod corpus;
 pub mod exploit;
 pub mod exploits;
 pub mod shellcode;

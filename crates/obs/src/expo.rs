@@ -26,14 +26,6 @@ const QUANTILES: [(&str, QuantileSelector); 3] = [
 /// get no labels.
 pub fn render_text(snap: &Snapshot) -> String {
     let mut out = String::new();
-    if let Some(worker) = &snap.worker {
-        out.push_str("# HELP snids_worker_info Instance identity of this exposition.\n");
-        out.push_str("# TYPE snids_worker_info gauge\n");
-        out.push_str(&format!(
-            "snids_worker_info{{worker=\"{}\"}} 1\n",
-            escape(worker)
-        ));
-    }
     out.push_str("# HELP snids_stage_events_total Events handled per pipeline stage.\n");
     out.push_str("# TYPE snids_stage_events_total counter\n");
     for stage in &snap.stages {
@@ -190,10 +182,6 @@ pub fn render_text(snap: &Snapshot) -> String {
 pub fn render_json(snap: &Snapshot) -> String {
     let mut out = String::from("{");
     out.push_str(&format!("\"enabled\":{},", snap.enabled));
-    match &snap.worker {
-        Some(worker) => out.push_str(&format!("\"worker\":\"{}\",", escape(worker))),
-        None => out.push_str("\"worker\":null,"),
-    }
     out.push_str("\"stages\":[");
     for (i, stage) in snap.stages.iter().enumerate() {
         if i > 0 {
@@ -340,7 +328,6 @@ mod tests {
     fn flow_latency_family_renders_in_both_expositions() {
         use crate::flowlat::{FlowId, FlowOutcome};
         let obs = Obs::new(8);
-        obs.set_worker(Some("w0"));
         let id = FlowId {
             src: std::net::Ipv4Addr::new(10, 0, 0, 1),
             dst: std::net::Ipv4Addr::new(192, 168, 1, 10),
@@ -352,10 +339,6 @@ mod tests {
         obs.flow_settle(&id, FlowOutcome::Alerted);
         let snap = obs.snapshot();
         let page = render_text(&snap);
-        assert!(
-            page.contains("snids_worker_info{worker=\"w0\"} 1"),
-            "{page}"
-        );
         assert!(page.contains(
             "snids_flow_latency_nanos{stage=\"decode\",outcome=\"alerted\",quantile=\"0.99\"}"
         ));
@@ -365,7 +348,6 @@ mod tests {
         assert!(page.contains("snids_flow_latency_tracked_flows 1"));
         assert!(page.contains("snids_flow_latency_overflow_total 0"));
         let doc = render_json(&snap);
-        assert!(doc.contains("\"worker\":\"w0\""), "{doc}");
         // Stage order is discriminant order, so decode (5) precedes the
         // late-added prefilter (9).
         assert!(
@@ -373,9 +355,6 @@ mod tests {
             "{doc}"
         );
         assert!(doc.contains("\"flow_tracked\":1,\"flow_overflow\":0"));
-        // Unlabeled registries keep a stable shape too.
-        let plain = render_json(&sample().snapshot());
-        assert!(plain.contains("\"worker\":null"));
     }
 
     #[test]

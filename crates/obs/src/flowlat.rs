@@ -78,11 +78,6 @@ impl FlowOutcome {
             FlowOutcome::Benign => "benign",
         }
     }
-
-    /// Inverse of [`FlowOutcome::name`] (federation parses labels back).
-    pub fn from_name(name: &str) -> Option<FlowOutcome> {
-        FlowOutcome::ALL.iter().copied().find(|o| o.name() == name)
-    }
 }
 
 /// One settled (stage, outcome) distribution: per-flow *total* stage time,
@@ -261,7 +256,7 @@ pub struct FlowLatencySnapshot {
     pub p90_nanos: u64,
     /// 99th percentile.
     pub p99_nanos: u64,
-    /// Raw log₂ buckets (federation merges these bucket-wise).
+    /// Raw log₂ buckets (sparse in the JSON snapshot).
     pub buckets: [u64; BUCKETS],
 }
 
@@ -363,13 +358,5 @@ mod tests {
         assert!(line.contains("outcome=dropped"));
         assert!(line.contains("extract=70"));
         assert!(line.contains("total=70"));
-    }
-
-    #[test]
-    fn outcome_names_round_trip() {
-        for o in FlowOutcome::ALL {
-            assert_eq!(FlowOutcome::from_name(o.name()), Some(o));
-        }
-        assert_eq!(FlowOutcome::from_name("unknown"), None);
     }
 }

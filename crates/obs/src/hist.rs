@@ -90,10 +90,9 @@ impl LogHistogram {
 }
 
 /// The quantile readout over a raw bucket array — the same rank walk
-/// [`LogHistogram::quantile`] performs, exposed separately so merged
-/// bucket sets (federation sums worker histograms bucket-wise) report
-/// quantiles with identical semantics. Returns 0 when the buckets are
-/// empty.
+/// [`LogHistogram::quantile`] performs, exposed separately so plain
+/// bucket arrays (the per-flow latency family) report quantiles with
+/// identical semantics. Returns 0 when the buckets are empty.
 pub fn quantile_from_buckets(buckets: &[u64], q: f64) -> u64 {
     let total: u64 = buckets.iter().sum();
     if total == 0 {

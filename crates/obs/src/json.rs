@@ -7,9 +7,9 @@
 //! addresses, drop reasons — must be escaped at the emission site. This
 //! module is the single shared implementation.
 //!
-//! The [`parse`] half exists for the federation layer: a fleet scraper
-//! reads worker `/json` pages and child-process stdout back into a
-//! [`Value`] tree. It is a bounded recursive-descent parser — depth- and
+//! The [`parse`] half reads those surfaces back — `snids analyze --json`
+//! output and the benchmark's result lines — into a [`Value`] tree. It is
+//! a bounded recursive-descent parser — depth- and
 //! input-limited, total over hostile bytes (it returns `None`, never
 //! panics) — and keeps numbers as their raw source text so `u64` counters
 //! round-trip without `f64` precision loss.

@@ -31,18 +31,14 @@
 //!   stage-nanos trails settled into an outcome-labeled histogram family
 //!   (`snids_flow_latency_*`) and appended to flight dumps.
 //! * [`serve::MetricsServer`] — a minimal blocking TCP responder for
-//!   `--metrics-listen`, with `/healthz` and a quit path for harnesses.
-//! * [`federate`] — the fleet side: a blocking scrape client and the
-//!   [`federate::FleetSnapshot`] merger that folds N workers' `/json`
-//!   pages into one deterministic fleet page.
+//!   `--metrics-listen`.
 //! * [`warn`] — the process-wide warning stream (counted, bounded,
 //!   mirrored to stderr) for configuration problems that must not be
 //!   silent.
 //! * [`json`] — string escaping for the workspace's hand-rolled JSON
-//!   emitters.
+//!   emitters, and a bounded parser that reads them back.
 
 pub mod expo;
-pub mod federate;
 pub mod flowlat;
 pub mod hist;
 pub mod json;

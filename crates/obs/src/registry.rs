@@ -57,9 +57,6 @@ struct ObsCore {
     /// Charges dropped because the tracker mutex was contended (the
     /// charge path never blocks a shard or pool thread).
     flow_contended: AtomicU64,
-    /// Instance identity (`worker` label) carried into every snapshot so
-    /// a federated page can tell its constituents apart.
-    worker: Mutex<Option<String>>,
 }
 
 /// The observability handle a pipeline (and its helpers) carry around.
@@ -86,7 +83,6 @@ impl Obs {
                 recorder: FlightRecorder::new(recorder_capacity),
                 flow: Mutex::new(FlowLatencyTracker::default()),
                 flow_contended: AtomicU64::new(0),
-                worker: Mutex::new(None),
             }),
         }
     }
@@ -149,22 +145,6 @@ impl Obs {
     /// The flight recorder.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.core.recorder
-    }
-
-    /// Set this registry's instance identity (the `worker` label in
-    /// expositions); `None` clears it. Fleet children set it from
-    /// `--worker-label`.
-    pub fn set_worker(&self, label: Option<&str>) {
-        *self.core.worker.lock().unwrap_or_else(|e| e.into_inner()) = label.map(|l| l.to_string());
-    }
-
-    /// The instance identity, if one was set.
-    pub fn worker(&self) -> Option<String> {
-        self.core
-            .worker
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
     }
 
     /// Charge `nanos` of `stage` time to flow `id`'s stage-nanos trail.
@@ -255,7 +235,6 @@ impl Obs {
             .snapshot();
         Snapshot {
             enabled: self.enabled(),
-            worker: self.worker(),
             stages,
             named,
             flow_latency,
@@ -299,8 +278,6 @@ pub struct StageSnapshot {
 pub struct Snapshot {
     /// Whether the registry was live when snapped.
     pub enabled: bool,
-    /// Instance identity (`worker` exposition label), if one was set.
-    pub worker: Option<String>,
     /// Per-stage metrics, in pipeline order.
     pub stages: Vec<StageSnapshot>,
     /// Named counters and gauges, sorted by name.

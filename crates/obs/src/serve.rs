@@ -38,11 +38,11 @@ impl MetricsServer {
     }
 
     /// Serve requests one at a time, calling `page` with the request path
-    /// (`/metrics`, `/json`, `/healthz`, …) to get `(content_type, body)`
-    /// for each. Stops after `max_requests` when given (for tests and
-    /// one-shot scrapes); otherwise loops until accept fails. Returns the
-    /// number of requests answered. Per-client I/O errors are counted as
-    /// served and do not abort the loop.
+    /// (`/metrics`, `/json`, …) to get `(content_type, body)` for each.
+    /// Stops after `max_requests` when given (for tests and one-shot
+    /// scrapes); otherwise loops until accept fails. Returns the number of
+    /// requests answered. Per-client I/O errors are counted as served and
+    /// do not abort the loop.
     pub fn serve<F>(&self, mut page: F, max_requests: Option<u64>) -> io::Result<u64>
     where
         F: FnMut(&str) -> (String, String),
@@ -60,29 +60,8 @@ impl MetricsServer {
         }
     }
 
-    /// Like [`MetricsServer::serve`], but stops (after answering) when a
-    /// request for `quit_path` arrives. This is how the fleet harness
-    /// ends a child worker's post-run serving window: the child keeps
-    /// serving final numbers until the federator has scraped them, then
-    /// one `GET /quit` releases the serving thread so the process can
-    /// exit cleanly.
-    pub fn serve_until_quit<F>(&self, mut page: F, quit_path: &str) -> io::Result<u64>
-    where
-        F: FnMut(&str) -> (String, String),
-    {
-        let mut served = 0u64;
-        loop {
-            let (stream, _peer) = self.listener.accept()?;
-            let path = Self::answer(stream, &mut page).unwrap_or_default();
-            served += 1;
-            if path == quit_path {
-                return Ok(served);
-            }
-        }
-    }
-
-    /// Answer one client; returns the request path it asked for.
-    fn answer<F>(mut stream: TcpStream, page: &mut F) -> io::Result<String>
+    /// Answer one client.
+    fn answer<F>(mut stream: TcpStream, page: &mut F) -> io::Result<()>
     where
         F: FnMut(&str) -> (String, String),
     {
@@ -102,8 +81,7 @@ impl MetricsServer {
                 break;
             }
         }
-        let path = request_path(&buf[..filled]).to_string();
-        let (content_type, body) = page(&path);
+        let (content_type, body) = page(request_path(&buf[..filled]));
         let header = format!(
             "HTTP/1.0 200 OK\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             content_type,
@@ -111,8 +89,7 @@ impl MetricsServer {
         );
         stream.write_all(header.as_bytes())?;
         stream.write_all(body.as_bytes())?;
-        stream.flush()?;
-        Ok(path)
+        stream.flush()
     }
 }
 
@@ -164,29 +141,5 @@ mod tests {
         assert!(response.contains("Content-Type: text/plain"));
         assert!(response.ends_with("page for /metrics\n"), "{response}");
         assert_eq!(handle.join().expect("join").expect("serve"), 1);
-    }
-
-    #[test]
-    fn quit_path_stops_the_serving_loop() {
-        let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
-        let addr = server.local_addr().expect("addr");
-        let handle = std::thread::spawn(move || {
-            server.serve_until_quit(
-                |path| ("text/plain".to_string(), format!("ok {path}\n")),
-                "/quit",
-            )
-        });
-        for request in [
-            "GET /healthz HTTP/1.0\r\n\r\n",
-            "GET /quit HTTP/1.0\r\n\r\n",
-        ] {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream.write_all(request.as_bytes()).expect("request");
-            let mut response = String::new();
-            stream.read_to_string(&mut response).expect("response");
-            assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
-        }
-        // The loop returned after answering /quit (2 requests served).
-        assert_eq!(handle.join().expect("join").expect("serve"), 2);
     }
 }

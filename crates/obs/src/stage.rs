@@ -74,12 +74,6 @@ impl Stage {
     pub fn from_code(code: u8) -> Option<Stage> {
         Stage::ALL.get(code as usize).copied()
     }
-
-    /// Inverse of [`Stage::name`] (federation parses exposition labels
-    /// back into stages).
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.iter().copied().find(|s| s.name() == name)
-    }
 }
 
 #[cfg(test)]
@@ -94,10 +88,6 @@ mod tests {
             assert_eq!(Stage::from_code(i as u8), Some(*s));
         }
         assert_eq!(Stage::from_code(Stage::ALL.len() as u8), None);
-        for s in Stage::ALL {
-            assert_eq!(Stage::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Stage::from_name("bogus"), None);
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Stage::ALL.len());

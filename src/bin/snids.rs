@@ -16,18 +16,6 @@
 //! # disassemble a binary frame and run the semantic analyzer over it
 //! snids disasm payload.bin
 //!
-//! # measure flow-analysis throughput on a synthesized polymorphic storm
-//! snids bench --flows 144 --repeats 3
-//!
-//! # sweep TCP desync fault rates across overlap policies
-//! snids bench --desync --flows 64
-//!
-//! # sweep state-exhaustion flood sizes: governor vs the seed engine
-//! snids bench --overload --budget 256k
-//!
-//! # measure the pre-filter fast path: lane throughput + detection parity
-//! snids bench --prefilter
-//!
 //! # replay with the pre-filter gate disabled (analyze everything)
 //! snids analyze trace.pcap --prefilter off
 //!
@@ -41,9 +29,6 @@
 //! # alerts are byte-identical to --shards 1 (the default)
 //! snids analyze trace.pcap --shards 4
 //!
-//! # sweep shard counts under a sustained overload: pkts/s + p99 stalls
-//! snids bench --shard --flood 1024
-//!
 //! # control the dataflow second pass (slice matching + alternative
 //! # stream views on desynced flows); near-miss is the default
 //! snids analyze trace.pcap --dataflow on
@@ -51,15 +36,12 @@
 //! # print per-stage metrics and flight-recorder dumps after the run
 //! snids analyze trace.pcap --metrics
 //!
-//! # serve metrics over HTTP for a scraper, live from replay start
-//! # (also /json, /healthz, /quit; --worker-label stamps the series)
-//! snids analyze trace.pcap --metrics-listen 127.0.0.1:9100 --worker-label w0
-//!
-//! # split a worm+flood corpus across 3 worker processes, scrape and
-//! # federate their live metrics, gate on fleet conservation + alert
-//! # union byte-identity vs a single-process run
-//! snids fleet --workers 3
+//! # serve /metrics (and /json) over HTTP while the replay runs
+//! snids analyze trace.pcap --metrics-listen 127.0.0.1:9100
 //! ```
+//!
+//! A value-taking flag without a value, an unparsable number and a
+//! `--chaos` rate outside [0, 1] are usage errors (exit 2).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,7 +56,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  snids analyze <pcap> [--honeypot IP]... [--dark NET/PREFIX]... [--templates FILE]... [--overlap-policy first-wins|last-wins|bsd-like|linux-like] [--dataflow on|off|near-miss] [--prefilter on|off] [--memory-budget BYTES[k|m|g]] [--shards N] [--no-classify] [--json] [--stats] [--metrics] [--metrics-listen ADDR] [--worker-label LABEL]\n  snids synth <pcap> [--packets N] [--crii N] [--seed N] [--chaos RATE] [--flood N]\n  snids disasm <file>\n  snids bench [--desync|--overload|--prefilter|--shard] [--flows N] [--flood N] [--shards N,N,..] [--seed N] [--repeats N] [--budget BYTES[k|m|g]] [--out FILE]\n  snids fleet [--workers N] [--packets N] [--crii N] [--flood N] [--seed N] [--out FILE]"
+        "usage:\n  snids analyze <pcap> [--honeypot IP]... [--dark NET/PREFIX]... [--templates FILE]... [--overlap-policy first-wins|last-wins|bsd-like|linux-like] [--dataflow on|off|near-miss] [--prefilter on|off] [--memory-budget BYTES[k|m|g]] [--shards N] [--no-classify] [--json] [--stats] [--metrics] [--metrics-listen ADDR]\n  snids synth <pcap> [--packets N] [--crii N] [--seed N] [--chaos RATE] [--flood N]\n  snids disasm <file>"
     );
     ExitCode::from(2)
 }
@@ -88,10 +70,44 @@ fn main() -> ExitCode {
         Some("analyze") => analyze(&args[1..]),
         Some("synth") => synth(&args[1..]),
         Some("disasm") => disasm(&args[1..]),
-        Some("bench") => bench(&args[1..]),
-        Some("fleet") => fleet(&args[1..]),
         _ => usage(),
     }
+}
+
+/// The value-taking flags of `snids analyze`.
+const ANALYZE_VALUE_FLAGS: &[&str] = &[
+    "--honeypot",
+    "--dark",
+    "--templates",
+    "--overlap-policy",
+    "--dataflow",
+    "--prefilter",
+    "--memory-budget",
+    "--shards",
+    "--metrics-listen",
+];
+
+/// The value-taking flags of `snids synth`.
+const SYNTH_VALUE_FLAGS: &[&str] = &["--packets", "--crii", "--seed", "--chaos", "--flood"];
+
+/// Print a usage error and exit 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::from(2)
+}
+
+/// Check that every flag in `value_flags` is followed by a value (an
+/// argument that is not itself a `--flag`). Once this holds,
+/// [`flag_values`] reads every value.
+fn check_flag_values(args: &[String], value_flags: &[&str]) -> Result<(), String> {
+    for (i, arg) in args.iter().enumerate() {
+        if value_flags.contains(&arg.as_str())
+            && args.get(i + 1).is_none_or(|v| v.starts_with("--"))
+        {
+            return Err(format!("{arg} needs a value"));
+        }
+    }
+    Ok(())
 }
 
 fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
@@ -101,18 +117,15 @@ fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
         .collect()
 }
 
-fn flag_value_u64(args: &[String], name: &str, default: u64) -> u64 {
-    flag_values(args, name)
-        .first()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn flag_value_f64(args: &[String], name: &str, default: f64) -> f64 {
-    flag_values(args, name)
-        .first()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The first value of `name` parsed as a number, or `default` when the
+/// flag is absent.
+fn flag_number<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    match flag_values(args, name).first() {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("bad {name} `{v}` (want a number)")),
+    }
 }
 
 /// Parse a byte count with an optional binary suffix: `65536`, `512k`,
@@ -135,6 +148,9 @@ fn analyze(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return usage();
     };
+    if let Err(e) = check_flag_values(args, ANALYZE_VALUE_FLAGS) {
+        return usage_error(&e);
+    }
     let no_classify = args.iter().any(|a| a == "--no-classify");
     let json = args.iter().any(|a| a == "--json");
     let stats_report = args.iter().any(|a| a == "--stats");
@@ -158,7 +174,6 @@ fn analyze(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let worker_label = flag_values(args, "--worker-label").first().copied();
 
     let mut config = NidsConfig {
         classification_enabled: !no_classify,
@@ -271,81 +286,49 @@ fn analyze(args: &[String]) -> ExitCode {
     // `--shards N` moves the per-flow front half onto N shard threads;
     // the default of 1 runs it inline on this thread.
     let mut nids = Nids::new(config);
-    if let Some(label) = worker_label {
-        // Instance label: federated expositions tag this worker's series
-        // with `worker="LABEL"` so fleet pages stay attributable.
-        nids.obs().set_worker(Some(label));
-    }
 
     // Live exposition: bind and serve *before* the replay starts, from a
     // cloned (Arc-backed) registry handle, so a scraper watches counters,
-    // watermark transitions and budget gauges move mid-run. The thread
-    // keeps serving the final numbers after the run until a `GET /quit`
-    // (or ctrl-c) releases it.
-    let server_thread = match metrics_listen {
-        Some(addr) => {
-            let server = match snids::obs::MetricsServer::bind(addr) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot bind --metrics-listen {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Ok(local) = server.local_addr() {
-                eprintln!(
-                    "serving live metrics on http://{local}/metrics (also /json, /healthz; GET /quit or ctrl-c to stop)"
-                );
+    // watermark transitions and budget gauges move mid-run. The serving
+    // thread blocks in `accept` for the life of the process, so it is not
+    // joined: serving stops when `main` returns after the results.
+    if let Some(addr) = metrics_listen {
+        let server = match snids::obs::MetricsServer::bind(addr) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("cannot bind --metrics-listen {addr}: {e}");
+                return ExitCode::FAILURE;
             }
-            let obs = nids.obs().clone();
-            let started = std::time::Instant::now();
-            Some(std::thread::spawn(move || {
-                let _ = server.serve_until_quit(
-                    |path| {
-                        let snap = obs.snapshot();
-                        if path == "/healthz" {
-                            let find = |name: &str| {
-                                snap.named
-                                    .iter()
-                                    .find(|(n, _)| n == name)
-                                    .map(|(_, v)| *v)
-                                    .unwrap_or(0)
-                            };
-                            (
-                                "application/json".to_string(),
-                                format!(
-                                    "{{\"status\":\"ok\",\"uptime_seconds\":{},\"pressure\":{},\"packets\":{}}}",
-                                    started.elapsed().as_secs(),
-                                    find("snids_budget_pressure_level"),
-                                    find("snids_packets_total"),
-                                ),
-                            )
-                        } else if path.ends_with("json") {
-                            (
-                                "application/json".to_string(),
-                                snids::obs::expo::render_json(&snap),
-                            )
-                        } else {
-                            (
-                                "text/plain; version=0.0.4".to_string(),
-                                snids::obs::expo::render_text(&snap),
-                            )
-                        }
-                    },
-                    "/quit",
-                );
-            }))
+        };
+        if let Ok(local) = server.local_addr() {
+            eprintln!(
+                "serving live metrics on http://{local}/metrics (also /json) during the replay"
+            );
         }
-        None => None,
-    };
+        let obs = nids.obs().clone();
+        std::thread::spawn(move || {
+            let _ = server.serve(
+                |path| {
+                    let snap = obs.snapshot();
+                    if path.ends_with("json") {
+                        (
+                            "application/json".to_string(),
+                            snids::obs::expo::render_json(&snap),
+                        )
+                    } else {
+                        (
+                            "text/plain; version=0.0.4".to_string(),
+                            snids::obs::expo::render_text(&snap),
+                        )
+                    }
+                },
+                None,
+            );
+        });
+    }
 
     let alerts = nids.process_capture(&packets);
     nids.absorb_read_stats(&reader.read_stats());
-    if server_thread.is_some() {
-        // Mirror the final ledger totals into the registry *before* any
-        // result line hits stdout: a federator treats the result line as
-        // its scrape barrier, so the registry must already be settled.
-        let _ = nids.obs_snapshot();
-    }
 
     if json {
         let alerts_json: Vec<String> = alerts.iter().map(|a| a.to_json()).collect();
@@ -376,10 +359,6 @@ fn analyze(args: &[String]) -> ExitCode {
             eprintln!("{dump}");
         }
     }
-    if let Some(handle) = server_thread {
-        // Keep serving the settled numbers until /quit or ctrl-c.
-        let _ = handle.join();
-    }
     if alerts.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -391,11 +370,25 @@ fn synth(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return usage();
     };
-    let packets_n = flag_value_u64(args, "--packets", 5_000) as usize;
-    let crii = flag_value_u64(args, "--crii", 2) as usize;
-    let seed = flag_value_u64(args, "--seed", 2006);
-    let chaos_rate = flag_value_f64(args, "--chaos", 0.0);
-    let flood = flag_value_u64(args, "--flood", 0) as usize;
+    let flags = check_flag_values(args, SYNTH_VALUE_FLAGS).and_then(|()| {
+        let chaos_rate = flag_number(args, "--chaos", 0.0f64)?;
+        if !(0.0..=1.0).contains(&chaos_rate) {
+            return Err(format!(
+                "bad --chaos `{chaos_rate}` (want a rate in [0, 1])"
+            ));
+        }
+        Ok((
+            flag_number(args, "--packets", 5_000usize)?,
+            flag_number(args, "--crii", 2usize)?,
+            flag_number(args, "--seed", 2006u64)?,
+            chaos_rate,
+            flag_number(args, "--flood", 0usize)?,
+        ))
+    });
+    let (packets_n, crii, seed, chaos_rate, flood) = match flags {
+        Ok(flags) => flags,
+        Err(e) => return usage_error(&e),
+    };
 
     let plan = AddressPlan::default();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -459,294 +452,6 @@ fn synth(args: &[String]) -> ExitCode {
         "analyze with: snids analyze {path} --honeypot {} --dark {}/16",
         plan.honeypots[0], plan.dark_net
     );
-    ExitCode::SUCCESS
-}
-
-fn bench(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--desync") {
-        return bench_desync(args);
-    }
-    if args.iter().any(|a| a == "--overload") {
-        return bench_overload(args);
-    }
-    if args.iter().any(|a| a == "--prefilter") {
-        return bench_prefilter(args);
-    }
-    if args.iter().any(|a| a == "--shard") {
-        return bench_shard(args);
-    }
-    let flows = flag_value_u64(args, "--flows", 144) as usize;
-    let cfg = snids::bench::throughput::BenchConfig {
-        seed: flag_value_u64(args, "--seed", 2006),
-        attack_flows: flows / 3,
-        background_flows: flows - flows / 3,
-        repeats: flag_value_u64(args, "--repeats", 3) as usize,
-        ..snids::bench::throughput::BenchConfig::default()
-    };
-    eprintln!(
-        "polymorphic storm: {} attack + {} benign flows, worker counts {:?}",
-        cfg.attack_flows, cfg.background_flows, cfg.threads
-    );
-    let report = snids::bench::throughput::run(&cfg);
-    print!("{}", snids::bench::throughput::render(&report));
-    let out = flag_values(args, "--out")
-        .first()
-        .copied()
-        .unwrap_or("BENCH_throughput.json");
-    if let Err(e) = std::fs::write(out, snids::bench::throughput::to_json(&report)) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-    if report.runs.iter().any(|r| !r.identical) {
-        eprintln!("ALERT STREAMS DIVERGED ACROSS WORKER COUNTS");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-fn bench_prefilter(args: &[String]) -> ExitCode {
-    use snids::bench::prefilter;
-    let mut cfg = prefilter::BenchConfig {
-        seed: flag_value_u64(args, "--seed", 2006),
-        repeats: flag_value_u64(args, "--repeats", 3) as usize,
-        ..prefilter::BenchConfig::default()
-    };
-    if let Some(flows) = flag_values(args, "--flows")
-        .first()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        let flows = flows.max(3);
-        cfg.attack_flows = flows / 3;
-        cfg.background_flows = flows - flows / 3;
-    }
-    eprintln!(
-        "prefilter bench: {} attack + {} benign flows in the storm, {} tainted-benign sources x {} flows",
-        cfg.attack_flows, cfg.background_flows, cfg.tainted_sources, cfg.flows_per_source,
-    );
-    let report = prefilter::run(&cfg);
-    print!("{}", prefilter::render(&report));
-    let out = flag_values(args, "--out")
-        .first()
-        .copied()
-        .unwrap_or("BENCH_prefilter.json");
-    if let Err(e) = std::fs::write(out, prefilter::to_json(&report)) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-    if !report.identical || report.fn_delta > 0 {
-        eprintln!("PRE-FILTER GATE CHANGED THE ALERT STREAM");
-        return ExitCode::FAILURE;
-    }
-    if report.header_lane_pps < 1_000_000.0 {
-        eprintln!(
-            "warning: header lane {:.0} pkts/s below the 1M floor",
-            report.header_lane_pps
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn bench_shard(args: &[String]) -> ExitCode {
-    use snids::bench::shard;
-    let mut cfg = shard::ShardBenchConfig {
-        seed: flag_value_u64(args, "--seed", 2006),
-        flood: flag_value_u64(args, "--flood", 1024) as usize,
-        repeats: flag_value_u64(args, "--repeats", 3) as usize,
-        ..shard::ShardBenchConfig::default()
-    };
-    if let Some(flows) = flag_values(args, "--flows")
-        .first()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        cfg.planted_attacks = flows.max(1);
-    }
-    if let Some(spec) = flag_values(args, "--budget").first() {
-        match parse_bytes(spec) {
-            Some(bytes) if bytes > 0 => cfg.memory_budget = bytes,
-            _ => {
-                eprintln!("bad --budget `{spec}` (want BYTES > 0 with optional k/m/g suffix)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(list) = flag_values(args, "--shards").first() {
-        let parsed: Option<Vec<usize>> = list
-            .split(',')
-            .map(|n| n.trim().parse::<usize>().ok().filter(|n| *n >= 1))
-            .collect();
-        match parsed {
-            Some(counts) if !counts.is_empty() => cfg.shard_counts = counts,
-            _ => {
-                eprintln!("bad --shards `{list}` (want a comma-separated list of integers >= 1)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    eprintln!(
-        "shard sweep: {} planted attacks + {} flood flows, shard counts {:?}, budget {} bytes, mailbox {} deep",
-        cfg.planted_attacks, cfg.flood, cfg.shard_counts, cfg.memory_budget, cfg.mailbox,
-    );
-    let report = shard::run(&cfg);
-    print!("{}", shard::render(&report));
-    let out = flag_values(args, "--out")
-        .first()
-        .copied()
-        .unwrap_or("BENCH_shard.json");
-    if let Err(e) = std::fs::write(out, shard::to_json(&report)) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-    if !report.alerts_identical {
-        eprintln!("ALERT STREAMS DIVERGED ACROSS SHARD COUNTS");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-fn bench_desync(args: &[String]) -> ExitCode {
-    use snids::bench::desync;
-    let mut cfg = desync::DesyncBenchConfig {
-        seed: flag_value_u64(args, "--seed", 2006),
-        ..desync::DesyncBenchConfig::default()
-    };
-    if let Some(flows) = flag_values(args, "--flows")
-        .first()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        let flows = flows.max(2);
-        cfg.attack_flows = flows / 2;
-        cfg.background_flows = flows - flows / 2;
-    }
-    eprintln!(
-        "desync sweep: {} attack + {} benign flows, rates {:?}, policies {:?}",
-        cfg.attack_flows,
-        cfg.background_flows,
-        cfg.rates,
-        snids::flow::OverlapPolicy::ALL
-            .iter()
-            .map(|p| p.name())
-            .collect::<Vec<_>>(),
-    );
-    let report = desync::run(&cfg);
-    print!("{}", desync::render(&report));
-    let out = flag_values(args, "--out")
-        .first()
-        .copied()
-        .unwrap_or("BENCH_desync.json");
-    if let Err(e) = std::fs::write(out, desync::to_json(&report)) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-    if !report.zero_rate_identical {
-        eprintln!("ALERT STREAMS DIVERGED ACROSS POLICIES AT FAULT RATE 0");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-fn bench_overload(args: &[String]) -> ExitCode {
-    use snids::bench::overload;
-    let mut cfg = overload::OverloadBenchConfig {
-        seed: flag_value_u64(args, "--seed", 2006),
-        repeats: flag_value_u64(args, "--repeats", 3) as usize,
-        ..overload::OverloadBenchConfig::default()
-    };
-    if let Some(flows) = flag_values(args, "--flows")
-        .first()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        cfg.planted_attacks = flows.max(1);
-    }
-    if let Some(spec) = flag_values(args, "--budget").first() {
-        match parse_bytes(spec) {
-            Some(bytes) if bytes > 0 => cfg.memory_budget = bytes,
-            _ => {
-                eprintln!("bad --budget `{spec}` (want BYTES > 0 with optional k/m/g suffix)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    eprintln!(
-        "overload sweep: {} planted attacks, flood sizes {:?}, budget {} bytes, {} flow slots",
-        cfg.planted_attacks, cfg.flood_sizes, cfg.memory_budget, cfg.max_flows,
-    );
-    let report = overload::run(&cfg);
-    print!("{}", overload::render(&report));
-    let out = flag_values(args, "--out")
-        .first()
-        .copied()
-        .unwrap_or("BENCH_overload.json");
-    if let Err(e) = std::fs::write(out, overload::to_json(&report)) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-    if !report.zero_flood_identical {
-        eprintln!("ALERT STREAMS DIVERGED BETWEEN GOVERNOR AND BASELINE AT FLOOD 0");
-        return ExitCode::FAILURE;
-    }
-    if !report.detection_gate_holds() {
-        eprintln!("GOVERNOR DID NOT STRICTLY BEAT THE SEED BASELINE UNDER FLOOD");
-        return ExitCode::FAILURE;
-    }
-    if report.storm.ratio < 0.95 {
-        eprintln!(
-            "warning: storm throughput ratio {:.3} below the 0.95 target",
-            report.storm.ratio
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn fleet(args: &[String]) -> ExitCode {
-    use snids::bench::fleet;
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cannot locate the snids binary to spawn workers: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cfg = fleet::FleetConfig {
-        exe,
-        workers: flag_value_u64(args, "--workers", 3).max(1) as usize,
-        seed: flag_value_u64(args, "--seed", 2006),
-        packets: flag_value_u64(args, "--packets", 3_000) as usize,
-        crii: flag_value_u64(args, "--crii", 3) as usize,
-        flood: flag_value_u64(args, "--flood", 256) as usize,
-        ..fleet::FleetConfig::default()
-    };
-    eprintln!(
-        "fleet replay: {} workers over {} background packets + {} Code Red II + {} flood flows",
-        cfg.workers, cfg.packets, cfg.crii, cfg.flood,
-    );
-    let report = fleet::run(&cfg);
-    print!("{}", fleet::render(&report));
-    print!("{}", report.merged_text_page());
-    let out = flag_values(args, "--out")
-        .first()
-        .copied()
-        .unwrap_or("BENCH_fleet.json");
-    if let Err(e) = std::fs::write(out, fleet::to_json(&report)) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-    if !report.union_identical {
-        eprintln!("FLEET ALERT UNION DIVERGED FROM THE SINGLE-WORKER RUN");
-        return ExitCode::FAILURE;
-    }
-    if !report.capture_matches || !report.ledger_balanced {
-        eprintln!("FLEET CONSERVATION CHECK FAILED");
-        return ExitCode::FAILURE;
-    }
-    if report.workers.iter().any(|w| !w.healthy) {
-        eprintln!("warning: some workers could not be scraped; fleet page is partial");
-    }
     ExitCode::SUCCESS
 }
 

@@ -56,7 +56,7 @@
 //! | [`core`] | the assembled five-stage pipeline (Figure 3) |
 //! | [`exec`] | the work-stealing thread pool the pipeline runs on |
 //! | [`obs`] | stage metrics, flight recorder, metrics exposition |
-//! | [`mod@bench`] | experiment runners (paper tables/figures, throughput) |
+//! | [`mod@bench`] | experiment runners (paper tables, figures, ablations) |
 //!
 //! `ARCHITECTURE.md` at the workspace root walks one packet through all of
 //! these layers.

@@ -9,13 +9,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snids::core::{Nids, NidsConfig};
 use snids::gen::chaos::{chaos_pcap, ChaosConfig};
+use snids::gen::corpus::polymorphic_storm;
 use snids::gen::traces::{codered_capture, tainted_benign_flows, AddressPlan};
 use snids::packet::{Packet, PcapReader};
 use std::io::Cursor;
 
-fn run_pair(packets: &[Packet]) -> (String, String) {
+/// Replay gated and ungated: the two rendered alert streams, and the
+/// gated run's reject ratio.
+fn run_pair(packets: &[Packet]) -> (String, String, f64) {
     let plan = AddressPlan::default();
     let mut rendered = Vec::new();
+    let mut reject_ratio = 0.0;
     for prefilter in [true, false] {
         let mut nids = Nids::new(NidsConfig {
             honeypots: plan.honeypots.clone(),
@@ -36,6 +40,7 @@ fn run_pair(packets: &[Packet]) -> (String, String) {
             stats.drop_report()
         );
         if prefilter {
+            reject_ratio = stats.prefilter_reject_ratio();
             // The gate sees every suspicious packet exactly once, and its
             // three counters partition that count.
             assert_eq!(
@@ -64,7 +69,7 @@ fn run_pair(packets: &[Packet]) -> (String, String) {
     }
     let ungated = rendered.pop().unwrap();
     let gated = rendered.pop().unwrap();
-    (gated, ungated)
+    (gated, ungated, reject_ratio)
 }
 
 #[test]
@@ -72,7 +77,7 @@ fn gate_is_invisible_on_the_clean_worm_capture() {
     let plan = AddressPlan::default();
     let mut rng = StdRng::seed_from_u64(7);
     let (packets, truth) = codered_capture(&mut rng, &plan, 1200, 3);
-    let (gated, ungated) = run_pair(&packets);
+    let (gated, ungated, _) = run_pair(&packets);
     assert_eq!(gated, ungated, "gating changed the alert stream");
     assert!(!truth.crii_sources.is_empty());
     for src in &truth.crii_sources {
@@ -100,7 +105,7 @@ fn gate_is_invisible_on_the_chaos_corpus_at_rate_zero() {
     let mut reader = PcapReader::new(Cursor::new(bytes)).expect("valid global header");
     let decoded = reader.decode_all().unwrap_or_default();
     assert!(!decoded.is_empty());
-    let (gated, ungated) = run_pair(&decoded);
+    let (gated, ungated, _) = run_pair(&decoded);
     assert_eq!(gated, ungated, "gating changed the rate-0 alert stream");
 }
 
@@ -138,4 +143,22 @@ fn gate_rejects_tainted_benign_traffic_without_losing_the_worm() {
     let json = stats.to_json();
     assert!(json.contains("\"prefilter\""));
     assert!(json.contains("\"reject_ratio\""));
+}
+
+#[test]
+fn gate_is_invisible_on_the_polymorphic_storm_with_tainted_background() {
+    // ADMmutate/Clet deliveries woven with tainted-benign text, in time
+    // order: the gate must reject the text and keep every detection.
+    let plan = AddressPlan::default();
+    let mut packets = polymorphic_storm(42, 6, 10);
+    let mut rng = StdRng::seed_from_u64(42 ^ 0x7eff);
+    packets.extend(tainted_benign_flows(&mut rng, &plan, 8, 3, 1_000_000));
+    packets.sort_by_key(|p| p.ts_micros);
+    let (gated, ungated, reject_ratio) = run_pair(&packets);
+    assert!(!gated.is_empty(), "the storm must alert");
+    assert_eq!(gated, ungated, "gating changed the storm's alert stream");
+    assert!(
+        reject_ratio > 0.3,
+        "tainted background must be rejected: {reject_ratio}"
+    );
 }

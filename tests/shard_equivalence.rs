@@ -13,10 +13,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snids::bench::desync::{build_capture, DesyncBenchConfig};
-use snids::bench::overload::{self, OverloadBenchConfig};
 use snids::core::{Nids, NidsConfig, PipelineStats};
 use snids::flow::OverlapPolicy;
+use snids::gen::corpus::{desync_capture, overload_capture};
 use snids::gen::traces::{codered_capture, tainted_benign_flows, AddressPlan};
 use snids::packet::Packet;
 
@@ -148,19 +147,13 @@ fn worm_capture_is_shard_invariant() {
 
 #[test]
 fn desync_chaos_is_shard_invariant_under_every_overlap_policy() {
-    // A smaller sweep than the bench (the bench covers rates to 0.5); two
-    // rates suffice here: 0.0 is the clean reference, 0.3 faults enough
+    // Two rates suffice: 0.0 is the clean reference, 0.3 faults enough
     // flows that policies genuinely diverge from *each other* — the claim
     // under test is that each policy is shard-invariant, not that the
     // policies agree.
-    let cfg = DesyncBenchConfig {
-        attack_flows: 24,
-        background_flows: 24,
-        ..DesyncBenchConfig::default()
-    };
     let plan = AddressPlan::default();
     for rate in [0.0, 0.3] {
-        let capture = build_capture(&cfg, rate);
+        let capture = desync_capture(2006, 24, 24, rate);
         for policy in OverlapPolicy::ALL {
             let mut config = worm_config(&plan);
             config.flow_table.overlap_policy = policy;
@@ -195,37 +188,42 @@ fn tainted_benign_traffic_is_shard_invariant() {
 
 #[test]
 fn sharding_survives_memory_pressure_identically() {
-    // The overload bench's flood corpus with a tight budget and small
-    // flow table: the shed-analysis path (evicted flows handed to the
-    // back half) and the protect-source feedback loop must also be
-    // shard-invariant.
-    let cfg = OverloadBenchConfig {
-        seed: 41,
-        planted_attacks: 6,
-        memory_budget: 64 * 1024,
-        max_flows: 32,
-        ..OverloadBenchConfig::default()
-    };
-    let capture = overload::build_capture(&cfg, 96);
-    let packets = capture.packets;
+    // The overload flood corpus with a tight budget and small flow table:
+    // the shed-analysis path (evicted flows handed to the back half) and
+    // the protect-source feedback loop must also be shard-invariant.
+    const BUDGET: u64 = 64 * 1024;
+    let packets = overload_capture(41, 6, 96);
 
     let plan = AddressPlan::default();
     let mut config = worm_config(&plan);
-    config.memory_budget = cfg.memory_budget;
-    config.flow_table.max_flows = cfg.max_flows;
+    config.memory_budget = BUDGET;
+    config.flow_table.max_flows = 32;
     assert_shard_equivalent("pressure", &config, &packets);
 
-    // Pressure must actually have occurred, at every shard count, or the
-    // corpus is too gentle to lock the shed path.
+    // Pressure must actually have occurred at every shard count, or the
+    // corpus is too gentle to lock the shed path; and however many shard
+    // budget clones charge concurrently, the peak stays under the ceiling.
     for shards in SHARD_COUNTS {
-        let (_, stats) = run_sharded(config.clone(), shards, &packets);
-        let drops = stats.3 .2;
-        let shed = drops.get(snids::core::stats::DropReason::ShedAnalyzed)
-            + drops.get(snids::core::stats::DropReason::ShedUnanalyzed)
-            + drops.get(snids::core::stats::DropReason::FlowEvicted);
+        let mut config = config.clone();
+        config.shards = shards;
+        let mut nids = Nids::new(config);
+        nids.process_capture(&packets);
+        let stats = nids.stats();
+        let shed = stats
+            .drops
+            .get(snids::core::stats::DropReason::ShedAnalyzed)
+            + stats
+                .drops
+                .get(snids::core::stats::DropReason::ShedUnanalyzed)
+            + stats.drops.get(snids::core::stats::DropReason::FlowEvicted);
         assert!(
             shed > 0,
             "pressure corpus must evict flows at shards={shards}"
+        );
+        assert!(
+            stats.peak_tracked_bytes <= BUDGET,
+            "peak {} exceeded the {BUDGET} byte budget at shards={shards}",
+            stats.peak_tracked_bytes
         );
     }
 }
