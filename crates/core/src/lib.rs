@@ -49,6 +49,7 @@ use snids_flow::{
 use snids_obs::{Event, EventKind, Obs, Stage};
 use snids_packet::{Ipv4Header, Packet, TcpHeader, ETHERNET_HEADER_LEN};
 use snids_semantic::{Analyzer, TemplateMatch};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -197,6 +198,11 @@ fn flow_latency_id(key: &FlowKey) -> snids_obs::FlowId {
         src_port: key.src_port,
         dst_port: key.dst_port,
     }
+}
+
+/// The `(src, dst, dst_port)` a flight dump is keyed by.
+fn dump_id(e: &Event) -> (u32, u32, u16) {
+    (e.src, e.dst, e.dst_port)
 }
 
 /// Render one flight-recorder event for a dump.
@@ -482,34 +488,63 @@ impl Nids {
         if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS {
             return;
         }
-        let (src, dst) = (u32::from(src), u32::from(dst));
-        let trail: Vec<String> = self
-            .obs
-            .recorder()
-            .events()
-            .iter()
-            .filter(|e| e.src == src && e.dst == dst && e.dst_port == dst_port)
-            .map(render_event)
-            .collect();
+        let id = (u32::from(src), u32::from(dst), dst_port);
+        let events = self.obs.recorder().events();
+        let trail: Vec<&Event> = events.iter().filter(|e| dump_id(e) == id).collect();
+        self.push_flight_dump(why, id, &trail);
+    }
+
+    /// One `"alert"` dump per distinct `(src, dst, dst_port)`, in alert
+    /// order, until [`MAX_FLIGHT_DUMPS`] exist — from one copy of the
+    /// flight ring, indexed by flow.
+    fn dump_alert_flights(&mut self, alerts: &[Alert]) {
+        if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS || alerts.is_empty() {
+            return;
+        }
+        let events = self.obs.recorder().events();
+        let mut trails: HashMap<(u32, u32, u16), Vec<&Event>> = HashMap::new();
+        for event in &events {
+            trails.entry(dump_id(event)).or_default().push(event);
+        }
+        let mut dumped = HashSet::new();
+        for alert in alerts {
+            if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS {
+                break;
+            }
+            let id = (u32::from(alert.src), u32::from(alert.dst), alert.dst_port);
+            if dumped.insert(id) {
+                if let Some(trail) = trails.get(&id) {
+                    self.push_flight_dump("alert", id, trail);
+                }
+            }
+        }
+    }
+
+    /// Render `trail` (oldest first) as one flight dump, with the flow's
+    /// per-stage latency trail when one is retained. No-op when empty.
+    fn push_flight_dump(
+        &mut self,
+        why: &str,
+        (src, dst, dst_port): (u32, u32, u16),
+        trail: &[&Event],
+    ) {
         if trail.is_empty() {
             return;
         }
+        let (src, dst) = (std::net::Ipv4Addr::from(src), std::net::Ipv4Addr::from(dst));
+        let lines: Vec<String> = trail.iter().map(|e| render_event(e)).collect();
         let mut dump = format!(
             "flight[{}] {} -> {}:{} ({} events)\n{}",
             why,
-            std::net::Ipv4Addr::from(src),
-            std::net::Ipv4Addr::from(dst),
+            src,
+            dst,
             dst_port,
-            trail.len(),
-            trail.join("\n"),
+            lines.len(),
+            lines.join("\n"),
         );
         // Attribution: the flow's per-stage latency trail, when one is
         // retained (source port wildcarded, same as the event filter).
-        if let Some((outcome, stage_nanos)) = self.obs.flow_trail(
-            std::net::Ipv4Addr::from(src),
-            std::net::Ipv4Addr::from(dst),
-            dst_port,
-        ) {
+        if let Some((outcome, stage_nanos)) = self.obs.flow_trail(src, dst, dst_port) {
             dump.push('\n');
             dump.push_str(&snids_obs::flowlat::render_trail(outcome, &stage_nanos));
         }
@@ -1200,7 +1235,6 @@ impl Nids {
         if self.obs.enabled() {
             // An alert is a confirmed detection — record it and dump the
             // flow's recorded trail.
-            let mut dumped: Vec<(std::net::Ipv4Addr, std::net::Ipv4Addr, u16)> = Vec::new();
             for alert in &alerts {
                 // Alerts carry no source port, so the event's src_port is
                 // 0; dumps match on (src, dst, dst_port) and don't care.
@@ -1216,13 +1250,7 @@ impl Nids {
                     reason: 0,
                 });
             }
-            for alert in alerts.clone() {
-                let id = (alert.src, alert.dst, alert.dst_port);
-                if !dumped.contains(&id) {
-                    dumped.push(id);
-                    self.dump_flight("alert", alert.src, alert.dst, alert.dst_port);
-                }
-            }
+            self.dump_alert_flights(&alerts);
         }
         alerts
     }
@@ -1719,6 +1747,26 @@ mod tests {
         let dump = &nids.flight_dumps()[0];
         assert!(dump.contains("alert"), "{dump}");
         assert!(dump.contains(&plan.web_server.to_string()), "{dump}");
+    }
+
+    /// Alert dumps come from one copy of the flight ring per
+    /// `finalize_alerts`, however many alerting flows there are; a copy
+    /// per distinct flow made the dump loop quadratic.
+    #[test]
+    fn finalize_alerts_copies_the_flight_ring_at_most_once() {
+        let plan = AddressPlan::default();
+        let mut config = plan_config(&plan);
+        config.observability = true;
+        config.threads = 1;
+        let mut nids = Nids::new(config);
+        for packet in snids_gen::corpus::polymorphic_storm(2006, 200, 100) {
+            nids.process_packet(&packet);
+        }
+        let before = nids.obs().recorder().copies();
+        let alerts = nids.finish();
+        assert!(alerts.len() > MAX_FLIGHT_DUMPS, "{} alerts", alerts.len());
+        assert_eq!(nids.flight_dumps().len(), MAX_FLIGHT_DUMPS);
+        assert!(nids.obs().recorder().copies() - before <= 1);
     }
 
     /// When observability is off (the default), no stage events accrue and

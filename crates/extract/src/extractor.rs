@@ -1,8 +1,7 @@
 //! The binary detection & extraction stage: payload in, binary frames out.
 
 use crate::http::HttpRequest;
-use crate::repetition::{longest_run, printable_ratio};
-use crate::retaddr::find_retaddr_region;
+use crate::repetition::{longest_run, ByteScan};
 use crate::sled::find_sled;
 use crate::unicode::{count_unicode_groups, decode_region};
 use serde::{Deserialize, Serialize};
@@ -102,11 +101,7 @@ impl BinaryExtractor {
         let mut frames = Vec::new();
         let uri_off = req.uri.as_ptr() as usize - payload.as_ptr() as usize;
 
-        let run = longest_run(req.uri);
-        let suspicious_run = run.map(|r| r.len >= self.config.min_repetition_run);
-        let unicode = count_unicode_groups(req.uri);
-
-        if unicode >= self.config.min_unicode_groups {
+        if count_unicode_groups(req.uri) >= self.config.min_unicode_groups {
             // Decode every %u region in the URI into one frame (the regions
             // are contiguous binary once decoded).
             let mut decoded = Vec::new();
@@ -127,9 +122,10 @@ impl BinaryExtractor {
                     reason: "unicode-encoded binary in URI",
                 });
             }
-        } else if suspicious_run == Some(true) {
+        } else if let Some(r) =
+            longest_run(req.uri).filter(|r| r.len >= self.config.min_repetition_run)
+        {
             // Overflow filler followed by a raw payload tail.
-            let r = run.expect("checked above");
             let tail = &req.uri[r.end()..];
             if tail.len() >= 16 {
                 frames.push(BinaryFrame {
@@ -149,8 +145,11 @@ impl BinaryExtractor {
     }
 
     fn extract_raw(&self, data: &[u8], base: usize, origin: FrameOrigin) -> Vec<BinaryFrame> {
+        // One pass over the bytes feeds rules 1, 3 and 4; the sled walk of
+        // rule 2 is the only other pass.
+        let scan = ByteScan::of(data);
         // 1. Overwhelmingly binary content: take it whole.
-        if printable_ratio(data) < self.config.max_printable_ratio {
+        if scan.printable_ratio() < self.config.max_printable_ratio {
             return vec![BinaryFrame {
                 data: self.cap(data),
                 origin,
@@ -170,7 +169,7 @@ impl BinaryExtractor {
         }
         // 3. A return-address region: carve from the payload start (the
         //    shellcode precedes the addresses in the classic layout).
-        if find_retaddr_region(data, self.config.min_retaddr_count).is_some() {
+        if scan.retaddr_dwords >= self.config.min_retaddr_count.max(2) {
             return vec![BinaryFrame {
                 data: self.cap(data),
                 origin,
@@ -179,7 +178,7 @@ impl BinaryExtractor {
             }];
         }
         // 4. Suspicious repetition followed by a meaningful tail.
-        if let Some(r) = longest_run(data) {
+        if let Some(r) = scan.longest {
             if r.len >= self.config.min_repetition_run {
                 let tail = &data[r.end()..];
                 if tail.len() >= 16 {

@@ -15,7 +15,6 @@
 pub mod extractor;
 pub mod http;
 pub mod repetition;
-pub mod retaddr;
 pub mod sled;
 pub mod unicode;
 

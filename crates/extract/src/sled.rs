@@ -2,11 +2,14 @@
 //!
 //! "Polymorphic exploit generators can use a whole host of instructions
 //! that have 'NOP-like' behavior, thus making the NOP region variant" —
-//! so the detector decodes instructions and asks the disassembler's
-//! [`snids_x86::semantics::is_nop_like`] fact instead of grepping for
-//! `0x90`.
+//! so the detector asks the disassembler's NOP-likeness fact
+//! ([`snids_x86::semantics::nop_like_len`], the table form of
+//! [`snids_x86::semantics::is_nop_like`]) instead of grepping for `0x90`.
+//! The table settles every byte but a prefix or `0F` opening a possible
+//! multi-byte NOP, so shed text reaches the decoder only at prefix pairs
+//! such as `ed` (`gs: fs:`).
 
-use snids_x86::{decode, semantics};
+use snids_x86::semantics::nop_like_len;
 
 /// A detected sled region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,13 +37,9 @@ pub fn find_sled(data: &[u8], min_insns: usize) -> Option<Sled> {
     while start < data.len() {
         let mut pos = start;
         let mut insns = 0usize;
-        while pos < data.len() {
-            let insn = decode(data, pos);
-            if !semantics::is_nop_like(&insn) {
-                break;
-            }
+        while let Some(len) = nop_like_len(data, pos) {
             insns += 1;
-            pos = insn.end();
+            pos += len;
         }
         if insns >= min_insns {
             return Some(Sled {
@@ -49,10 +48,10 @@ pub fn find_sled(data: &[u8], min_insns: usize) -> Option<Sled> {
                 insns,
             });
         }
-        // Restart just past the failed position — a sled must be
-        // contiguous, so skipping one byte at a time is sufficient and
-        // keeps the scan linear-ish.
-        start += 1 + (pos - start);
+        // Restart just past the instruction that broke the run: a sled is
+        // contiguous, so no offset is looked at twice and the scan is
+        // linear.
+        start = pos + 1;
     }
     None
 }

@@ -128,6 +128,7 @@ pub struct FlightRecorder {
     slots: Vec<Slot>,
     head: AtomicU64,
     contended: AtomicU64,
+    copies: AtomicU64,
 }
 
 impl FlightRecorder {
@@ -139,6 +140,7 @@ impl FlightRecorder {
             slots: (0..capacity).map(|_| Slot::empty()).collect(),
             head: AtomicU64::new(0),
             contended: AtomicU64::new(0),
+            copies: AtomicU64::new(0),
         }
     }
 
@@ -157,6 +159,12 @@ impl FlightRecorder {
     /// whole ring apart — vanishingly rare at sane capacities).
     pub fn contended(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
+    }
+
+    /// Times the ring has been read out whole ([`FlightRecorder::events`],
+    /// [`FlightRecorder::events_for_flow`]): each is a pass over every slot.
+    pub fn copies(&self) -> u64 {
+        self.copies.load(Ordering::Relaxed)
     }
 
     /// Record one event. Lock-free; may overwrite the oldest slot, and
@@ -214,6 +222,7 @@ impl FlightRecorder {
 
     /// Every currently readable event, oldest first.
     pub fn events(&self) -> Vec<Event> {
+        self.copies.fetch_add(1, Ordering::Relaxed);
         let mut out: Vec<Event> = self
             .slots
             .iter()
@@ -227,6 +236,7 @@ impl FlightRecorder {
     /// their five-tuple equals `(src, dst, src_port, dst_port)` exactly —
     /// callers wanting both directions query twice.
     pub fn events_for_flow(&self, src: u32, dst: u32, src_port: u16, dst_port: u16) -> Vec<Event> {
+        self.copies.fetch_add(1, Ordering::Relaxed);
         let mut out: Vec<Event> = self
             .slots
             .iter()

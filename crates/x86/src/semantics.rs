@@ -379,6 +379,74 @@ pub fn is_nop_like(insn: &Instruction) -> bool {
     }
 }
 
+/// What an instruction's first byte alone says about [`is_nop_like`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NopClass {
+    /// Always a one-byte NOP-like instruction, whatever follows.
+    Always,
+    /// Never starts a NOP-like instruction.
+    Never,
+    /// A legacy prefix or `0F`: NOP-like only as `prefix… 90` or
+    /// `prefix… 0F 1F /r`, which only the decoder can settle.
+    Mixed,
+}
+
+/// [`NopClass`] of every first byte.
+pub const NOP_CLASS: [NopClass; 256] = {
+    let mut table = [NopClass::Never; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            // push/pop seg, BCD adjusts, inc/dec/push/pop r32, nop/xchg/
+            // cwde/cdq, wait, sahf/lahf, salc, cmc, clc/stc, cld/std.
+            0x06 | 0x07 | 0x0e | 0x16 | 0x17 | 0x1e | 0x1f | 0x27 | 0x2f | 0x37 | 0x3f => {
+                NopClass::Always
+            }
+            0x40..=0x5f | 0x90..=0x99 | 0x9b | 0x9e | 0x9f => NopClass::Always,
+            0xd6 | 0xf5 | 0xf8 | 0xf9 | 0xfc | 0xfd => NopClass::Always,
+            0x0f => NopClass::Mixed,
+            b if is_prefix(b) => NopClass::Mixed,
+            _ => NopClass::Never,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// The eleven legacy prefixes the decoder accepts.
+const fn is_prefix(b: u8) -> bool {
+    matches!(
+        b,
+        0x26 | 0x2e | 0x36 | 0x3e | 0x64 | 0x65 | 0x66 | 0x67 | 0xf0 | 0xf2 | 0xf3
+    )
+}
+
+/// Length of the NOP-like instruction at `offset` in `buf`, or `None` —
+/// exactly `is_nop_like(&decode(buf, offset))` (with its length), but the
+/// decoder only runs for a [`NopClass::Mixed`] byte whose follower can
+/// continue a NOP (`prefix` → prefix, `0F` or `90`; `0F` → `1F`).
+#[inline]
+pub fn nop_like_len(buf: &[u8], offset: usize) -> Option<usize> {
+    let first = *buf.get(offset)?;
+    match NOP_CLASS[usize::from(first)] {
+        NopClass::Always => Some(1),
+        NopClass::Never => None,
+        NopClass::Mixed => {
+            let next = *buf.get(offset + 1)?;
+            let may_nop = if first == 0x0f {
+                next == 0x1f
+            } else {
+                is_prefix(next) || next == 0x0f || next == 0x90
+            };
+            if !may_nop {
+                return None;
+            }
+            let insn = crate::decoder::decode(buf, offset);
+            is_nop_like(&insn).then_some(usize::from(insn.len))
+        }
+    }
+}
+
 /// True if the instruction provably has no architectural effect beyond
 /// flags — the "effective NOP" forms junk-insertion engines emit
 /// (`mov eax,eax`, `xchg ebx,ebx`, `lea esi,[esi]`, `add edi,0`, ...).
@@ -537,6 +605,21 @@ mod tests {
         assert!(!is_nop_like(&d(&[0xc3]))); // ret
         assert!(!is_nop_like(&d(&[0xcd, 0x80]))); // int
         assert!(!is_nop_like(&d(&[0x31, 0xc0]))); // xor eax,eax: 2 bytes
+    }
+
+    #[test]
+    fn nop_like_len_reads_the_table_and_decodes_only_prefix_openings() {
+        assert_eq!(nop_like_len(&[0x90], 0), Some(1));
+        assert_eq!(nop_like_len(&[0x41, 0x42], 1), Some(1)); // inc edx
+        assert_eq!(nop_like_len(&[0x66, 0x90], 0), Some(2));
+        assert_eq!(nop_like_len(&[0xf3, 0x90], 0), Some(2)); // pause
+        assert_eq!(nop_like_len(&[0x0f, 0x1f, 0xc0], 0), Some(3));
+        assert_eq!(nop_like_len(&[0x66, 0x0f, 0x1f, 0x40, 0x00], 0), Some(5));
+        assert_eq!(nop_like_len(&[0x0f, 0x1f], 0), None); // truncated
+        assert_eq!(nop_like_len(&[0x66, 0x40], 0), None); // inc ax: 2 bytes
+        assert_eq!(nop_like_len(b"ed", 0), None); // gs: fs: + end
+        assert_eq!(nop_like_len(&[0xc3], 0), None);
+        assert_eq!(nop_like_len(&[0x90], 1), None);
     }
 
     #[test]

@@ -17,7 +17,17 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 const TABLE: &str = include_str!("golden_decode.tsv");
-const TABLE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_decode.tsv");
+
+/// Where `record` writes the table: beside this file, whichever package
+/// compiled it (the suite also runs from the workspace root's `tests/`).
+fn table_path() -> std::path::PathBuf {
+    let beside = std::path::Path::new(file!()).with_file_name("golden_decode.tsv");
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .map(|dir| dir.join(&beside))
+        .find(|path| path.exists())
+        .unwrap_or(beside)
+}
 
 /// Generated code as `(bytes, length of the code region)`; what follows the
 /// code region is encoded payload and padding, not instructions.
@@ -219,5 +229,5 @@ fn record() {
         table.push_str(&row(raw));
         table.push('\n');
     }
-    std::fs::write(TABLE_PATH, table).expect("the table is writable");
+    std::fs::write(table_path(), table).expect("the table is writable");
 }

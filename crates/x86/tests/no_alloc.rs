@@ -1,6 +1,6 @@
 //! `decode` must not touch the heap: it runs at every byte offset of every
-//! frame (start discovery) and of shed text (`find_sled`). A counting
-//! global allocator holds it to zero allocations. This file holds one test
+//! frame (start discovery). A counting global allocator holds it to zero
+//! allocations. This file holds one test
 //! so that nothing else allocates on the thread while the count is taken.
 
 use snids_x86::decode;

@@ -279,3 +279,47 @@ fn disabled_pipeline_keeps_obs_silent_under_chaos() {
     assert_eq!(snap.recorder_recorded, 0);
     assert!(nids.flight_dumps().is_empty());
 }
+
+#[test]
+fn storm_flight_dumps_are_unchanged() {
+    // The storm's alert dumps, recorded at the commit before they moved to
+    // one indexed copy of the flight ring per `finalize_alerts`: the same
+    // 64 dumps, in the same order, with the same trails. `stage-nanos`
+    // lines are left out: they are wall-clock readings, present only while
+    // the flow's latency trail is still retained.
+    let plan = AddressPlan::default();
+    let packets = snids::gen::corpus::polymorphic_storm(2006, 500, 1000);
+    let mut nids = Nids::new(NidsConfig {
+        honeypots: plan.honeypots.clone(),
+        dark_nets: vec![(plan.dark_net, 16)],
+        threads: 1,
+        observability: true,
+        ..NidsConfig::default()
+    });
+    let alerts = nids.process_capture(&packets);
+    assert!(
+        alerts.len() > snids::core::MAX_FLIGHT_DUMPS,
+        "the storm outruns the dump cap"
+    );
+    let dumps: Vec<String> = nids
+        .flight_dumps()
+        .iter()
+        .map(|dump| {
+            dump.lines()
+                .filter(|line| !line.trim_start().starts_with("stage-nanos["))
+                .collect::<Vec<_>>()
+                .join("\n")
+        })
+        .collect();
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in dumps.join("\n\n").bytes() {
+        digest ^= u64::from(byte);
+        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    assert_eq!(
+        (dumps.len(), digest),
+        (64, 0x77c3_4efc_05e8_77f6),
+        "first dump:\n{}",
+        dumps.first().map_or("", String::as_str)
+    );
+}

@@ -48,6 +48,7 @@ fn enabled_observability_keeps_nine_tenths_of_throughput() {
     let obs_secs = best_secs(&packets, true);
     assert!(secs > 0.0 && obs_secs > 0.0, "must have measured something");
     let throughput_ratio = secs / obs_secs;
+    eprintln!("disabled {secs:.4}s, enabled {obs_secs:.4}s, ratio {throughput_ratio:.3}");
     assert!(
         throughput_ratio >= 0.90,
         "observability too expensive: enabled run is {:.1}% slower \
