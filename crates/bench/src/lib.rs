@@ -1,8 +1,9 @@
 //! Experiment runners regenerating every table and figure of the paper.
 //!
 //! Each experiment lives in its own module and returns structured rows;
-//! the `repro` binary prints them in the paper's format, and the criterion
-//! benches time the underlying work. Absolute numbers differ from the 2006
+//! the `repro` binary prints them in the paper's format. Engine throughput
+//! is measured by the benchmark that `BENCHMARK.json` declares, not here.
+//! Absolute numbers differ from the 2006
 //! testbed (different hardware, different disassembler); the *shapes* the
 //! paper reports are asserted in the integration tests and reproduced
 //! here — see `EXPERIMENTS.md` at the workspace root.

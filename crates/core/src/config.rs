@@ -85,18 +85,6 @@ pub struct NidsConfig {
     /// `honeypots` and `dark_nets`. On by default; disable for the
     /// everything-is-analyzed baseline (`--prefilter off`).
     pub prefilter: bool,
-    /// Front-half shard count for [`Nids`](crate::Nids): `0` or `1` (the
-    /// default) runs the per-flow front half (pre-filter → reassembly)
-    /// inline on the capture thread; `N >= 2` runs N of them on shard
-    /// threads keyed by the canonical flow hash, each owning its slice of
-    /// the flow table. A deployment setting: alerts and the ledger are
-    /// identical at every value.
-    pub shards: usize,
-    /// Capacity of each shard's bounded mailbox, in packets. A full
-    /// mailbox blocks the capture driver (backpressure) instead of
-    /// queueing unboundedly; the stall is recorded under the `dispatch`
-    /// stage. Values below 1 are clamped to 1.
-    pub shard_mailbox: usize,
 }
 
 /// Environment variable that defaults [`NidsConfig::observability`].
@@ -130,16 +118,9 @@ impl Default for NidsConfig {
             memory_budget: 0,
             analyze_on_evict: true,
             prefilter: true,
-            shards: 1,
-            shard_mailbox: DEFAULT_SHARD_MAILBOX,
         }
     }
 }
-
-/// Default per-shard mailbox capacity, in packets. Deep enough that a
-/// transiently slow shard does not stall capture, shallow enough that a
-/// persistently slow one exerts backpressure within ~one batch of work.
-pub const DEFAULT_SHARD_MAILBOX: usize = 1024;
 
 #[cfg(test)]
 mod tests {
@@ -167,9 +148,6 @@ mod tests {
         // The fast path is on by default: rejected packets are cheap, and
         // the e2e suite pins that attack alerts are unchanged by the gate.
         assert!(c.prefilter);
-        // One shard = the inline front half: no thread, no mailbox.
-        assert_eq!(c.shards, 1);
-        assert_eq!(c.shard_mailbox, DEFAULT_SHARD_MAILBOX);
         // Conservative default: first copy wins, matching the seed
         // engine's behavior (and Snort's classic policy).
         assert_eq!(

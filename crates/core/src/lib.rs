@@ -15,9 +15,10 @@
 //! The classifier prunes traffic (honeypot + dark-space schemes, §4.1);
 //! only suspicious sources' flows are reassembled and handed to extraction;
 //! only extracted binary frames reach the CPU-intensive disassembly and
-//! template matching. The per-flow part of the front half (pre-filter,
-//! reassembly) is one `FrontHalf`, run inline or on `NidsConfig::shards`
-//! shard threads. Flow analysis is data-parallel on the `snids-exec`
+//! template matching. The capture thread runs the front half in capture
+//! order: checksum, defragmentation, classification, then one
+//! `FrontHalf` for the pre-filter and reassembly. Flow analysis is
+//! data-parallel on the `snids-exec`
 //! work-stealing pool: flows are independent, so the expensive tail scales
 //! across cores with no shared mutable state. Small flows are batched into
 //! coarse tasks (see [`TARGET_BATCH_BYTES`]) so per-task overhead never
@@ -30,7 +31,6 @@
 pub mod alert;
 pub mod config;
 mod front;
-mod shard;
 pub mod stats;
 
 pub use alert::Alert;
@@ -38,8 +38,7 @@ pub use config::NidsConfig;
 pub use snids_semantic::DataflowMode;
 pub use stats::{DropCounters, DropReason, PipelineStats};
 
-use front::{Barrier, FrontCounters, FrontHalf, Tracked};
-use shard::Shards;
+use front::{FrontHalf, Tracked};
 use snids_classify::{DarkSpaceMonitor, HoneypotRegistry, Subnet, TrafficClassifier};
 use snids_extract::BinaryExtractor;
 use snids_flow::{
@@ -65,8 +64,8 @@ pub struct Nids {
     classifier: TrafficClassifier,
     extractor: BinaryExtractor,
     analyzer: Analyzer,
-    /// Pre-filter and flow tracking: one inline, or one per shard thread.
-    front: Front,
+    /// Pre-filter and flow tracking, on the capture thread.
+    front: FrontHalf,
     defrag: Defragmenter,
     stats: PipelineStats,
     parallel: bool,
@@ -98,47 +97,6 @@ pub struct Nids {
     pending_alerts: Vec<Alert>,
     /// Last pressure level observed, for watermark-transition events.
     last_pressure: PressureLevel,
-}
-
-/// Where the per-flow front half runs.
-// One per pipeline, never in a collection: the size gap costs nothing,
-// boxing would cost a pointer chase per packet.
-#[allow(clippy::large_enum_variant)]
-enum Front {
-    /// On the capture thread (`NidsConfig::shards <= 1`): no thread, no
-    /// mailbox.
-    Inline(FrontHalf),
-    /// On shard threads behind bounded mailboxes.
-    Sharded(Shards),
-}
-
-impl Front {
-    /// Every front's counters summed (inline: as of the last refresh;
-    /// sharded: as of the last barrier).
-    fn totals(&self) -> FrontCounters {
-        let fronts = match self {
-            Front::Inline(front) => std::slice::from_ref(front.counters()),
-            Front::Sharded(shards) => shards.counters(),
-        };
-        let mut total = FrontCounters::default();
-        for c in fronts {
-            total.absorb(c);
-        }
-        total
-    }
-
-    /// Pin alerting sources' flows in every front's protection tier.
-    fn protect(&mut self, alerts: &[Alert]) {
-        let mut srcs: Vec<std::net::Ipv4Addr> = alerts.iter().map(|a| a.src).collect();
-        srcs.sort_unstable();
-        srcs.dedup();
-        for src in srcs {
-            match self {
-                Front::Inline(front) => front.protect_source(src),
-                Front::Sharded(shards) => shards.protect_source(src),
-            }
-        }
-    }
 }
 
 /// Cap on retained flight-recorder dumps: enough to debug a burst, small
@@ -314,14 +272,7 @@ impl Nids {
         } else {
             Obs::disabled()
         };
-        let n = config.shards.max(1);
-        let make_front = || FrontHalf::new(&config, n, Arc::clone(&budget), obs.clone());
-        let front = if n == 1 {
-            Front::Inline(make_front())
-        } else {
-            let fronts = (0..n).map(|_| make_front()).collect();
-            Front::Sharded(Shards::spawn(fronts, config.shard_mailbox, obs.clone()))
-        };
+        let front = FrontHalf::new(&config, Arc::clone(&budget), obs.clone());
         Nids {
             classifier,
             extractor: BinaryExtractor::new(config.extractor.clone()),
@@ -373,19 +324,9 @@ impl Nids {
         self.pool().stats()
     }
 
-    /// Shard mailbox backpressure: `(blocked_sends, peak_depth)` summed
-    /// and maxed over the shards — `(0, 0)` with the inline front.
-    pub fn backpressure(&self) -> (u64, u64) {
-        match &self.front {
-            Front::Inline(_) => (0, 0),
-            Front::Sharded(shards) => shards.backpressure(),
-        }
-    }
-
-    /// Mirror the ledger, the fronts' flow-table gauges and pool
-    /// self-profiling into the obs registry so a snapshot is
-    /// self-contained; per-shard gauges only when the front is sharded.
-    /// A no-op when observability is off.
+    /// Mirror the ledger, the flow-table gauges and pool self-profiling
+    /// into the obs registry so a snapshot is self-contained. A no-op when
+    /// observability is off.
     fn publish_gauges(&self) {
         let obs = &self.obs;
         if !obs.enabled() {
@@ -401,7 +342,7 @@ impl Nids {
                 *n,
             );
         }
-        let fronts = self.front.totals();
+        let flows = &self.front.flows;
         let pool = self.pool_stats();
         for (name, value) in [
             ("snids_packets_total", s.packets),
@@ -415,9 +356,9 @@ impl Nids {
             ("snids_budget_tracked_bytes", self.budget.tracked()),
             ("snids_budget_peak_bytes", self.budget.peak()),
             ("snids_budget_pressure_level", self.budget.level().code()),
-            ("snids_flows_protected", fronts.protected_len),
+            ("snids_flows_protected", flows.protected_len() as u64),
             ("snids_flows_degraded_total", s.degraded_flows),
-            ("snids_flows_shed_total", fronts.evicted),
+            ("snids_flows_shed_total", flows.evicted()),
             ("snids_pool_threads", pool.threads as u64),
             ("snids_pool_injected_total", pool.injected),
             ("snids_pool_injector_depth", pool.injector_depth as u64),
@@ -438,9 +379,6 @@ impl Nids {
                 &format!("snids_pool_busy_nanos_total{{thread=\"{i}\"}}"),
                 w.busy_nanos,
             );
-        }
-        if let Front::Sharded(shards) = &self.front {
-            shards.publish_gauges();
         }
     }
 
@@ -587,29 +525,27 @@ impl Nids {
         self.sync_ledger();
     }
 
-    /// Merge every front's counters, the defragmenter's tallies and the
-    /// shed attribution into the ledger. All sources are cumulative, so
-    /// this sets rather than adds.
+    /// Merge the front's counters, the flow table's and defragmenter's
+    /// tallies and the shed attribution into the ledger. All sources are
+    /// cumulative, so this sets rather than adds.
     fn sync_ledger(&mut self) {
-        if let Front::Inline(front) = &mut self.front {
-            front.refresh();
-        }
-        let fronts = self.front.totals();
+        let front = &self.front.counters;
+        let flows = &self.front.flows;
         let s = &mut self.stats;
-        s.prefilter_passed = fronts.prefilter_passed;
-        s.prefilter_escalated = fronts.prefilter_escalated;
-        s.prefilter_rejected = fronts.prefilter_rejected;
-        s.prefilter_nanos = fronts.prefilter_nanos;
-        s.lane_hits = fronts.lane_hits;
-        s.reassembly_nanos = fronts.reassembly_nanos;
-        s.overlap_conflict_bytes = fronts.overlap_conflict_bytes;
-        s.degraded_flows = fronts.degraded_flows;
+        s.prefilter_passed = front.prefilter_passed;
+        s.prefilter_escalated = front.prefilter_escalated;
+        s.prefilter_rejected = front.prefilter_rejected;
+        s.prefilter_nanos = front.prefilter_nanos;
+        s.lane_hits = self.front.lane_hits();
+        s.reassembly_nanos = front.reassembly_nanos;
+        s.overlap_conflict_bytes = flows.overlap_conflict_bytes();
+        s.degraded_flows = flows.degraded_flows();
         s.memory_limit_bytes = self.budget.limit();
         s.peak_tracked_bytes = self.budget.peak();
         let ds = self.defrag.stats();
         for (reason, n) in [
-            (DropReason::PrefilterRejected, fronts.prefilter_rejected),
-            (DropReason::StreamTruncated, fronts.truncated_flows),
+            (DropReason::PrefilterRejected, front.prefilter_rejected),
+            (DropReason::StreamTruncated, flows.truncated_flows()),
             (DropReason::DefragCapExceeded, ds.cap_exceeded),
             (DropReason::DefragOversize, ds.oversize),
             (DropReason::DefragTimeout, ds.timeout),
@@ -622,7 +558,7 @@ impl Nids {
         // `shed_analyzed` (the detection opportunity survived); discarded
         // victims keep the seed's `flow_evicted` name for count-cap
         // evictions and `shed_unanalyzed` for byte-budget sheds.
-        let by_budget = fronts.evicted_by_budget;
+        let by_budget = flows.evicted_by_budget();
         let analyzed_count_cap = self.shed_analyzed.saturating_sub(self.shed_analyzed_budget);
         s.drops.set(DropReason::ShedAnalyzed, self.shed_analyzed);
         s.drops.set(
@@ -631,8 +567,8 @@ impl Nids {
         );
         s.drops.set(
             DropReason::FlowEvicted,
-            fronts
-                .evicted
+            flows
+                .evicted()
                 .saturating_sub(by_budget)
                 .saturating_sub(analyzed_count_cap),
         );
@@ -735,27 +671,15 @@ impl Nids {
     /// when its datagram completes) or a packet-level drop counter.
     pub fn process_packet(&mut self, packet: &Packet) {
         if let Ingest::Suspicious(whole) = self.ingest(packet) {
-            match &mut self.front {
-                Front::Inline(front) => {
-                    let tracked = front.track(whole.as_ref().unwrap_or(packet));
-                    self.act_on(tracked);
-                }
-                Front::Sharded(shards) => shards.dispatch(whole.unwrap_or_else(|| packet.clone())),
-            }
-        }
-        if let Front::Sharded(shards) = &self.front {
-            for tracked in shards.ready() {
-                self.act_on(tracked);
-            }
+            let tracked = self.front.track(whole.as_ref().unwrap_or(packet));
+            self.act_on(tracked);
         }
         self.note_pressure();
     }
 
     /// The capture-ordered start of [`Nids::process_packet`]: ledger
     /// entry, checksum verification, defragmentation and classification.
-    /// These stages carry cross-flow per-source state (honeypot taint,
-    /// dark-space counts, fragment reassembly), so they stay on the
-    /// capture thread and only the suspicious survivors reach a front.
+    /// Only the suspicious survivors reach the front half.
     fn ingest(&mut self, packet: &Packet) -> Ingest {
         let observing = self.obs.enabled();
         self.stats.packets += 1;
@@ -912,7 +836,7 @@ impl Nids {
     /// packet ledger balances exactly.
     pub fn finish(&mut self) -> Vec<Alert> {
         self.defrag.drain_incomplete();
-        let flows = self.barrier(Barrier::Drain);
+        let flows = self.front.flows.drain();
         let mut alerts = std::mem::take(&mut self.pending_alerts);
         alerts.extend(self.analyze_flows(flows));
         let alerts = self.finalize_alerts(alerts);
@@ -942,7 +866,7 @@ impl Nids {
     /// memory stays bounded and alerts arrive while the attack is still
     /// in progress, then [`Nids::finish`] once at teardown.
     pub fn poll(&mut self, now: u64) -> Vec<Alert> {
-        let expired = self.barrier(Barrier::Expire(now));
+        let expired = self.front.flows.expire(now);
         let alerts = if expired.is_empty() && self.pending_alerts.is_empty() {
             Vec::new()
         } else {
@@ -954,23 +878,7 @@ impl Nids {
         alerts
     }
 
-    /// The flows `barrier` completes on every front (sharded: in
-    /// shard-index order), after acting on whatever the shards handed
-    /// back while they got there.
-    fn barrier(&mut self, barrier: Barrier) -> Vec<Flow> {
-        match &mut self.front {
-            Front::Inline(front) => front.complete(barrier),
-            Front::Sharded(shards) => {
-                let (flows, tracked) = shards.barrier(barrier);
-                for t in tracked {
-                    self.act_on(t);
-                }
-                flows
-            }
-        }
-    }
-
-    /// Stages 3–5 over a set of drained flows, sharded across the pool.
+    /// Stages 3–5 over a set of drained flows, spread across the pool.
     ///
     /// Each batch task extracts, disassembles and template-matches its
     /// flows in one pass; a panic while analyzing a flow is contained at
@@ -1466,6 +1374,25 @@ mod tests {
         for s in &truth.crii_sources {
             assert!(sources.contains(s), "missed source {s}");
         }
+    }
+
+    /// `finish` ends a capture, not the pipeline: a second capture through
+    /// the same `Nids` alerts the same way, and the ledger keeps counting
+    /// and balancing across both.
+    #[test]
+    fn finish_leaves_the_pipeline_reusable() {
+        let plan = AddressPlan::default();
+        let mut rng = StdRng::seed_from_u64(7);
+        let (packets, _) = codered_capture(&mut rng, &plan, 600, 2);
+        let mut nids = Nids::new(plan_config(&plan));
+        let first = nids.process_capture(&packets);
+        let second = nids.process_capture(&packets);
+        assert!(!first.is_empty());
+        assert_eq!(first.len(), second.len());
+        let s = nids.stats();
+        assert_eq!(s.packets, 2 * packets.len() as u64);
+        assert!(s.packet_ledger_balanced(), "{}", s.drop_report());
+        assert_eq!(nids.budget().tracked(), 0);
     }
 
     /// §5.4 shape in miniature: classification disabled, benign corpus,

@@ -197,10 +197,7 @@ impl DropCounters {
 
 /// Fold `other`'s `(lane, rule, hits)` triples into `hits`, keeping the
 /// lexical `(lane, rule)` order both sides already maintain.
-pub(crate) fn merge_lane_hits(
-    hits: &mut Vec<(String, String, u64)>,
-    other: &[(String, String, u64)],
-) {
+fn merge_lane_hits(hits: &mut Vec<(String, String, u64)>, other: &[(String, String, u64)]) {
     for (lane, rule, n) in other {
         match hits.iter_mut().find(|(l, r, _)| l == lane && r == rule) {
             Some((_, _, slot)) => *slot += n,

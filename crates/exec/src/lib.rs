@@ -44,10 +44,8 @@
 //! ```
 
 mod latch;
-pub mod mailbox;
 mod pool;
 
-pub use mailbox::{MailboxStats, Receiver, SendError, Sender};
 pub use pool::{PoolStats, TaskPanic, ThreadPool, WorkerStats};
 
 use std::sync::OnceLock;

@@ -14,7 +14,6 @@ pub mod budget;
 pub mod defrag;
 pub mod key;
 pub mod reassembly;
-pub mod shard;
 pub mod table;
 
 pub use budget::{MemoryBudget, PressureLevel};
@@ -23,5 +22,4 @@ pub use defrag::{
 };
 pub use key::FlowKey;
 pub use reassembly::{OverlapPolicy, Reassembler};
-pub use shard::{canonical_flow_hash, shard_of_key, shard_of_packet, shard_of_pair};
 pub use table::{Flow, FlowTable, FlowTableConfig, ProcessOutcome, ShedCause, ShedFlow};

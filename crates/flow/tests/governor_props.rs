@@ -169,27 +169,28 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The sharded front half hands every shard its own `Arc` clone of
-    /// one global budget. N clones charging and releasing concurrently
-    /// must keep the shared `tracked_bytes` exact: it can never exceed
-    /// the limit plus the bounded in-flight slack (each shard holds at
-    /// most one charge before its matching release), it can never go
-    /// negative — `release` saturates, so any underflow would *strand*
-    /// bytes and show up as a non-zero final count — and once every
-    /// shard drains it returns to exactly 0.
+    /// The budget is one `Arc` shared by every holder — the flow table
+    /// and the defragmenter each charge their own clone, and the clones
+    /// must stay safe to charge from any thread. N clones charging and
+    /// releasing concurrently must keep the shared `tracked_bytes` exact:
+    /// it can never exceed the limit plus the bounded in-flight slack
+    /// (each clone holds at most one charge before its matching release),
+    /// it can never go negative — `release` saturates, so any underflow
+    /// would *strand* bytes and show up as a non-zero final count — and
+    /// once every clone drains it returns to exactly 0.
     #[test]
     fn multi_clone_charges_stay_bounded_and_drain_to_zero(
-        per_shard in proptest::collection::vec(
+        per_clone in proptest::collection::vec(
             proptest::collection::vec(1u64..2048, 1..64),
             2..9,
         ),
     ) {
         const SLACK: u64 = 2048; // max single in-flight charge per clone
-        let shards = per_shard.len() as u64;
+        let clones = per_clone.len() as u64;
         let limit = 8 * 1024;
         let budget = Arc::new(MemoryBudget::limited(limit));
         std::thread::scope(|scope| {
-            for amounts in &per_shard {
+            for amounts in &per_clone {
                 let clone = Arc::clone(&budget);
                 scope.spawn(move || {
                     for &n in amounts {
@@ -198,7 +199,7 @@ proptest! {
                         // so the global count is bounded by everyone's
                         // worst-case in-flight bytes at once.
                         assert!(
-                            clone.tracked() <= shards * SLACK,
+                            clone.tracked() <= clones * SLACK,
                             "tracked {} above limit+slack",
                             clone.tracked()
                         );
@@ -210,7 +211,7 @@ proptest! {
         // Exactly zero: a saturated (would-be negative) release anywhere
         // leaves stranded bytes behind, so == 0 proves both properties.
         prop_assert_eq!(budget.tracked(), 0, "clones did not drain to zero");
-        prop_assert!(budget.peak() <= shards * SLACK);
+        prop_assert!(budget.peak() <= clones * SLACK);
         prop_assert!(budget.peak() > 0);
         prop_assert_eq!(budget.level(), PressureLevel::Normal);
     }

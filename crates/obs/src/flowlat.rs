@@ -18,7 +18,7 @@
 //! [`crate::Obs::enabled`] by callers, the live map is bounded
 //! ([`MAX_LIVE_FLOWS`]), and the tracker mutex is only ever `try_lock`ed
 //! on the charge path — a contended charge is dropped and counted in
-//! `overflow` rather than ever blocking a shard or pool thread.
+//! `overflow` rather than ever blocking the capture thread or a pool worker.
 
 use crate::hist::{self, BUCKETS};
 use crate::stage::Stage;

@@ -55,7 +55,7 @@ struct ObsCore {
     /// Per-flow stage-nanos trails and their settled outcome histograms.
     flow: Mutex<FlowLatencyTracker>,
     /// Charges dropped because the tracker mutex was contended (the
-    /// charge path never blocks a shard or pool thread).
+    /// charge path never blocks the capture thread or a pool worker).
     flow_contended: AtomicU64,
 }
 

@@ -30,16 +30,12 @@ pub enum Stage {
     /// Pre-filter fast path: three-lane escalate/reject gate between
     /// classification and the flow table.
     Prefilter = 9,
-    /// Sharded-driver dispatch: routing a classified packet into a
-    /// front-half shard's bounded mailbox. Its recorded time is the
-    /// send's *stall* — nonzero only under backpressure.
-    Dispatch = 10,
 }
 
 impl Stage {
     /// Every stage, in discriminant order (the pre-filter is a late
     /// addition, so its code sits past the stages it runs between).
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 10] = [
         Stage::Capture,
         Stage::Classify,
         Stage::Defrag,
@@ -50,7 +46,6 @@ impl Stage {
         Stage::TemplateMatch,
         Stage::Dataflow,
         Stage::Prefilter,
-        Stage::Dispatch,
     ];
 
     /// Stable snake_case name (metric label / JSON key).
@@ -66,7 +61,6 @@ impl Stage {
             Stage::TemplateMatch => "template_match",
             Stage::Dataflow => "dataflow",
             Stage::Prefilter => "prefilter",
-            Stage::Dispatch => "dispatch",
         }
     }
 

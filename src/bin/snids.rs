@@ -25,10 +25,6 @@
 //! # reassemble like the protected hosts' stacks
 //! snids analyze trace.pcap --overlap-policy linux-like
 //!
-//! # shard the front half (prefilter + reassembly) across 4 threads;
-//! # alerts are byte-identical to --shards 1 (the default)
-//! snids analyze trace.pcap --shards 4
-//!
 //! # control the dataflow second pass (slice matching + alternative
 //! # stream views on desynced flows); near-miss is the default
 //! snids analyze trace.pcap --dataflow on
@@ -40,8 +36,8 @@
 //! snids analyze trace.pcap --metrics-listen 127.0.0.1:9100
 //! ```
 //!
-//! A value-taking flag without a value, an unparsable number and a
-//! `--chaos` rate outside [0, 1] are usage errors (exit 2).
+//! An unknown flag, a value-taking flag without a value, an unparsable
+//! number and a `--chaos` rate outside [0, 1] are usage errors (exit 2).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +52,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  snids analyze <pcap> [--honeypot IP]... [--dark NET/PREFIX]... [--templates FILE]... [--overlap-policy first-wins|last-wins|bsd-like|linux-like] [--dataflow on|off|near-miss] [--prefilter on|off] [--memory-budget BYTES[k|m|g]] [--shards N] [--no-classify] [--json] [--stats] [--metrics] [--metrics-listen ADDR]\n  snids synth <pcap> [--packets N] [--crii N] [--seed N] [--chaos RATE] [--flood N]\n  snids disasm <file>"
+        "usage:\n  snids analyze <pcap> [--honeypot IP]... [--dark NET/PREFIX]... [--templates FILE]... [--overlap-policy first-wins|last-wins|bsd-like|linux-like] [--dataflow on|off|near-miss] [--prefilter on|off] [--memory-budget BYTES[k|m|g]] [--no-classify] [--json] [--stats] [--metrics] [--metrics-listen ADDR]\n  snids synth <pcap> [--packets N] [--crii N] [--seed N] [--chaos RATE] [--flood N]\n  snids disasm <file>"
     );
     ExitCode::from(2)
 }
@@ -83,9 +79,11 @@ const ANALYZE_VALUE_FLAGS: &[&str] = &[
     "--dataflow",
     "--prefilter",
     "--memory-budget",
-    "--shards",
     "--metrics-listen",
 ];
+
+/// The switches (flags without a value) of `snids analyze`.
+const ANALYZE_SWITCHES: &[&str] = &["--no-classify", "--json", "--stats", "--metrics"];
 
 /// The value-taking flags of `snids synth`.
 const SYNTH_VALUE_FLAGS: &[&str] = &["--packets", "--crii", "--seed", "--chaos", "--flood"];
@@ -108,6 +106,22 @@ fn check_flag_values(args: &[String], value_flags: &[&str]) -> Result<(), String
         }
     }
     Ok(())
+}
+
+/// Check that every `--flag` is one the command knows: a value-taking
+/// flag or a switch. Run after [`check_flag_values`], so no value looks
+/// like a flag.
+fn check_known_flags(
+    args: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    match args.iter().find(|a| {
+        a.starts_with("--") && !value_flags.contains(&a.as_str()) && !switches.contains(&a.as_str())
+    }) {
+        Some(flag) => Err(format!("unknown flag {flag}")),
+        None => Ok(()),
+    }
 }
 
 fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
@@ -148,7 +162,9 @@ fn analyze(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return usage();
     };
-    if let Err(e) = check_flag_values(args, ANALYZE_VALUE_FLAGS) {
+    if let Err(e) = check_flag_values(args, ANALYZE_VALUE_FLAGS)
+        .and_then(|()| check_known_flags(args, ANALYZE_VALUE_FLAGS, ANALYZE_SWITCHES))
+    {
         return usage_error(&e);
     }
     let no_classify = args.iter().any(|a| a == "--no-classify");
@@ -250,15 +266,6 @@ fn analyze(args: &[String]) -> ExitCode {
             }
         }
     }
-    if let Some(spec) = flag_values(args, "--shards").first() {
-        match spec.parse::<usize>() {
-            Ok(n) if n >= 1 => config.shards = n,
-            _ => {
-                eprintln!("bad --shards `{spec}` (want an integer >= 1)");
-                return ExitCode::from(2);
-            }
-        }
-    }
     for dn in flag_values(args, "--dark") {
         let parsed = dn.split_once('/').and_then(|(net, prefix)| {
             Some((net.parse::<Ipv4Addr>().ok()?, prefix.parse::<u8>().ok()?))
@@ -283,8 +290,6 @@ fn analyze(args: &[String]) -> ExitCode {
     // reader's stats rather than aborting the run.
     let packets = reader.decode_all().unwrap_or_default();
 
-    // `--shards N` moves the per-flow front half onto N shard threads;
-    // the default of 1 runs it inline on this thread.
     let mut nids = Nids::new(config);
 
     // Live exposition: bind and serve *before* the replay starts, from a
@@ -371,6 +376,7 @@ fn synth(args: &[String]) -> ExitCode {
         return usage();
     };
     let flags = check_flag_values(args, SYNTH_VALUE_FLAGS).and_then(|()| {
+        check_known_flags(args, SYNTH_VALUE_FLAGS, &[])?;
         let chaos_rate = flag_number(args, "--chaos", 0.0f64)?;
         if !(0.0..=1.0).contains(&chaos_rate) {
             return Err(format!(

@@ -100,6 +100,24 @@ fn analyze_rejects_a_flag_missing_its_value() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors() {
+    // Checked before the capture is opened or written, so no file is
+    // touched.
+    for (args, flag) in [
+        (&["analyze", "x.pcap", "--shards", "2"][..], "--shards"),
+        (&["analyze", "x.pcap", "--prefiter", "off"], "--prefiter"),
+        (&["analyze", "x.pcap", "--json", "--verbose"], "--verbose"),
+        (
+            &["synth", "x.pcap", "--packets", "300", "--chaos-rate", "0.5"],
+            "--chaos-rate",
+        ),
+    ] {
+        assert_usage_error(&snids(args), &format!("unknown flag {flag}"));
+    }
+    assert!(!std::path::Path::new("x.pcap").exists());
+}
+
+#[test]
 fn metrics_listen_ends_with_the_replay() {
     let dir = scratch("listen");
     let pcap = dir.join("c.pcap");

@@ -14,9 +14,8 @@ use snids::obs::Stage;
 use snids::packet::PcapReader;
 use std::io::Cursor;
 
-/// Run the chaos corpus through an observed pipeline with `shards`
-/// front halves and return it.
-fn observed_chaos_run(seed: u64, chaos: &ChaosConfig, shards: usize) -> Nids {
+/// Run the chaos corpus through an observed pipeline and return it.
+fn observed_chaos_run(seed: u64, chaos: &ChaosConfig) -> Nids {
     let plan = AddressPlan::default();
     let mut rng = StdRng::seed_from_u64(seed);
     let (packets, _truth) = codered_capture(&mut rng, &plan, 1200, 3);
@@ -30,34 +29,11 @@ fn observed_chaos_run(seed: u64, chaos: &ChaosConfig, shards: usize) -> Nids {
         honeypots: plan.honeypots.clone(),
         dark_nets: vec![(plan.dark_net, 16)],
         observability: true,
-        shards,
         ..NidsConfig::default()
     });
     nids.process_capture(&decoded);
     nids.absorb_read_stats(&reader.read_stats());
     nids
-}
-
-/// The named gauges that must not depend on the shard count: the drop
-/// ledger, the pipeline totals, the pre-filter verdicts and the shed
-/// count (not timings, peaks, pool or per-shard gauges).
-fn deterministic_gauges(snap: &snids::obs::Snapshot) -> Vec<(String, u64)> {
-    snap.named
-        .iter()
-        .filter(|(name, _)| {
-            name.starts_with("drop.")
-                || (name.starts_with("snids_prefilter_") && name.contains("_total"))
-                || [
-                    "snids_packets_total",
-                    "snids_processed_total",
-                    "snids_flows_analyzed_total",
-                    "snids_alerts_total",
-                    "snids_flows_shed_total",
-                ]
-                .contains(&name.as_str())
-        })
-        .map(|(name, v)| (name.to_string(), *v))
-        .collect()
 }
 
 #[test]
@@ -66,7 +42,7 @@ fn obs_counters_conserve_against_the_ledger_under_chaos() {
         flood_flows: 48,
         ..ChaosConfig::with_rate(0.15)
     };
-    let mut nids = observed_chaos_run(0xC0DE, &chaos, 1);
+    let mut nids = observed_chaos_run(0xC0DE, &chaos);
     let snap = nids.obs_snapshot();
     let stats = nids.stats();
     assert!(snap.enabled);
@@ -121,94 +97,12 @@ fn obs_counters_conserve_against_the_ledger_under_chaos() {
 }
 
 #[test]
-fn obs_counters_conserve_at_four_shards() {
-    // The same conservation law with the front half sharded four ways:
-    // the merged ledger (driver stats + per-shard counters) is what the
-    // gauges must mirror, and the capture stage still counts every
-    // packet exactly once because classification stays on the driver.
-    let chaos = ChaosConfig {
-        flood_flows: 48,
-        ..ChaosConfig::with_rate(0.15)
-    };
-    let mut nids = observed_chaos_run(0xC0DE, &chaos, 4);
-    let snap = nids.obs_snapshot();
-    let stats = nids.stats().clone();
-    assert!(snap.enabled);
-
-    // One gauge publisher: every deterministic gauge reads the same as
-    // with the inline front half on the same corpus.
-    let inline = observed_chaos_run(0xC0DE, &chaos, 1).obs_snapshot();
-    let gauges = deterministic_gauges(&snap);
-    assert!(gauges.len() > DropReason::ALL.len() + 5, "{gauges:?}");
-    assert_eq!(gauges, deterministic_gauges(&inline));
-    assert!(!inline
-        .named
-        .iter()
-        .any(|(n, _)| n.starts_with("snids_shard")));
-
-    let capture = snap
-        .stages
-        .iter()
-        .find(|s| s.stage == Stage::Capture)
-        .expect("capture stage present");
-    assert_eq!(
-        capture.events, stats.packets,
-        "capture events vs merged packets ledger"
-    );
-
-    // Every drop reason mirrors the *merged* ledger, which folds the
-    // per-shard eviction and prefilter counts back in.
-    for reason in DropReason::ALL {
-        let name = format!("drop.{}", reason.name());
-        let mirrored = snap
-            .named
-            .iter()
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("{name} missing from snapshot"));
-        assert_eq!(mirrored.1, stats.drops.get(reason), "{name}");
-    }
-    for (gauge, ledger) in [
-        ("snids_packets_total", stats.packets),
-        ("snids_processed_total", stats.processed),
-        ("snids_flows_analyzed_total", stats.flows_analyzed),
-        ("snids_shards", 4),
-    ] {
-        let v = snap
-            .named
-            .iter()
-            .find(|(n, _)| n == gauge)
-            .unwrap_or_else(|| panic!("{gauge} missing from snapshot"));
-        assert_eq!(v.1, ledger, "{gauge}");
-    }
-
-    // Per-shard packet gauges partition the suspicious stream: the
-    // driver dispatches exactly one message per suspicious packet.
-    let shard_packets: u64 = (0..4)
-        .map(|i| {
-            let name = format!("snids_shard_packets_total{{shard=\"{i}\"}}");
-            snap.named
-                .iter()
-                .find(|(n, _)| *n == name)
-                .unwrap_or_else(|| panic!("{name} missing from snapshot"))
-                .1
-        })
-        .sum();
-    assert_eq!(
-        shard_packets, stats.suspicious_packets,
-        "per-shard packet gauges must partition the suspicious stream"
-    );
-
-    assert!(stats.packet_ledger_balanced(), "{}", stats.drop_report());
-    assert!(stats.record_ledger_balanced(), "{}", stats.drop_report());
-}
-
-#[test]
 fn exposition_is_deterministic_and_escaped() {
     let chaos = ChaosConfig {
         flood_flows: 16,
         ..ChaosConfig::with_rate(0.1)
     };
-    let mut nids = observed_chaos_run(7, &chaos, 1);
+    let mut nids = observed_chaos_run(7, &chaos);
 
     // Repeated rendering of a quiescent pipeline is byte-identical: the
     // snapshot orders stages positionally and named counters
@@ -239,7 +133,7 @@ fn alerts_on_the_chaos_corpus_leave_flight_dumps() {
         truncate_tail: false,
         bogus_incl_len: false,
     };
-    let mut nids = observed_chaos_run(1, &chaos, 1);
+    let mut nids = observed_chaos_run(1, &chaos);
     assert!(
         !nids.flight_dumps().is_empty(),
         "alerting run must produce flight dumps"
