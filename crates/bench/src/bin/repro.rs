@@ -6,6 +6,7 @@
 //! cargo run --release -p snids-bench --bin repro -- table3 --packets 200000
 //! cargo run --release -p snids-bench --bin repro -- fp --bytes 16000000
 //! ```
+#![forbid(unsafe_code)]
 
 use snids_bench::{ablation, figures, fp, table1, table2, table3, DEFAULT_SEED};
 

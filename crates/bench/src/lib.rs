@@ -7,6 +7,7 @@
 //! testbed (different hardware, different disassembler); the *shapes* the
 //! paper reports are asserted in the integration tests and reproduced
 //! here — see `EXPERIMENTS.md` at the workspace root.
+#![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod figures;

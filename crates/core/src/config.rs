@@ -26,13 +26,13 @@ pub struct NidsConfig {
     /// the protected hosts' stacks — a sensor reassembling differently
     /// from its victims can be desynchronized by crafted overlaps.
     pub flow_table: FlowTableConfig,
-    /// Analyze flows on the work-stealing pool (`snids-exec`). When false
+    /// Analyze flows on the `snids-exec` pool. When false
     /// the analysis tail runs sequentially on the calling thread.
     pub parallel: bool,
-    /// Worker threads for the flow-analysis stage. `0` (the default) uses
-    /// the shared process-wide pool, sized by the `SNIDS_THREADS`
-    /// environment variable or the machine's available parallelism; any
-    /// other value gives this pipeline a dedicated pool of that size.
+    /// Worker threads for the flow-analysis stage, the calling thread
+    /// included. `0` (the default) sizes the pipeline's pool on first use
+    /// from the `SNIDS_THREADS` environment variable, else the machine's
+    /// available parallelism; any other value is the size itself.
     pub threads: usize,
     /// Fault-injection hook for the chaos test suite: a flow whose payload
     /// contains this byte marker makes its analysis task panic

@@ -19,7 +19,7 @@
 //! order: checksum, defragmentation, classification, then one
 //! `FrontHalf` for the pre-filter and reassembly. Flow analysis is
 //! data-parallel on the `snids-exec`
-//! work-stealing pool: flows are independent, so the expensive tail scales
+//! ordered map: flows are independent, so the expensive tail scales
 //! across cores with no shared mutable state. Small flows are batched into
 //! coarse tasks (see [`TARGET_BATCH_BYTES`]) so per-task overhead never
 //! dominates, a panicking analysis task is contained per flow (counted
@@ -27,6 +27,7 @@
 //! results are gathered in input order so alert output is byte-identical
 //! at any worker count.
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod alert;
 pub mod config;
@@ -50,7 +51,7 @@ use snids_packet::{Ipv4Header, Packet, TcpHeader, ETHERNET_HEADER_LEN};
 use snids_semantic::{Analyzer, TemplateMatch};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Batching floor for the parallel flow-analysis stage: consecutive flows
@@ -69,9 +70,9 @@ pub struct Nids {
     defrag: Defragmenter,
     stats: PipelineStats,
     parallel: bool,
-    /// Dedicated pool when `NidsConfig::threads > 0`; otherwise the
-    /// shared `snids_exec::global()` pool is used.
-    exec: Option<snids_exec::ThreadPool>,
+    /// The analysis pool: built here when `NidsConfig::threads` sizes it,
+    /// else on first use (see `Nids::pool`).
+    exec: OnceLock<snids_exec::ThreadPool>,
     chaos_panic_marker: Option<Vec<u8>>,
     verify_checksums: bool,
     max_frame_bytes: usize,
@@ -284,7 +285,10 @@ impl Nids {
             ),
             stats: PipelineStats::default(),
             parallel: config.parallel,
-            exec: (config.threads > 0).then(|| snids_exec::ThreadPool::new(config.threads)),
+            exec: match config.threads {
+                0 => OnceLock::new(),
+                n => OnceLock::from(snids_exec::ThreadPool::new(n)),
+            },
             chaos_panic_marker: config.chaos_analysis_panic_marker.clone(),
             verify_checksums: config.verify_checksums,
             max_frame_bytes: config.max_frame_bytes.max(1),
@@ -360,8 +364,6 @@ impl Nids {
             ("snids_flows_degraded_total", s.degraded_flows),
             ("snids_flows_shed_total", flows.evicted()),
             ("snids_pool_threads", pool.threads as u64),
-            ("snids_pool_injected_total", pool.injected),
-            ("snids_pool_injector_depth", pool.injector_depth as u64),
             ("snids_pool_tasks_panicked_total", pool.tasks_panicked),
         ] {
             obs.set_named(name, value);
@@ -370,10 +372,6 @@ impl Nids {
             obs.set_named(
                 &format!("snids_pool_tasks_total{{thread=\"{i}\"}}"),
                 w.tasks,
-            );
-            obs.set_named(
-                &format!("snids_pool_steals_total{{thread=\"{i}\"}}"),
-                w.steals,
             );
             obs.set_named(
                 &format!("snids_pool_busy_nanos_total{{thread=\"{i}\"}}"),
@@ -489,10 +487,14 @@ impl Nids {
         self.flight_dumps.push(dump);
     }
 
-    /// The pool the flow-analysis stage runs on: this pipeline's dedicated
-    /// pool when `NidsConfig::threads` was set, else the shared one.
+    /// The pool the flow-analysis stage runs on. A default-sized pool
+    /// resolves its size on first use, not in [`Nids::new`]:
+    /// `default_threads` reads the environment and the cgroup CPU quota,
+    /// which would otherwise be paid by every pipeline built, analyzing
+    /// or not.
     fn pool(&self) -> &snids_exec::ThreadPool {
-        self.exec.as_ref().unwrap_or_else(|| snids_exec::global())
+        self.exec
+            .get_or_init(|| snids_exec::ThreadPool::new(snids_exec::default_threads()))
     }
 
     /// Worker threads available to the flow-analysis stage.
@@ -884,7 +886,7 @@ impl Nids {
     /// flows in one pass; a panic while analyzing a flow is contained at
     /// that flow (counted under `analysis_panicked`) and, as a second
     /// line of defence, a panic escaping a whole batch is contained by
-    /// the pool's per-task isolation. Batch results come back in input
+    /// the pool's per-item isolation. Batch results come back in input
     /// order, so the alert stream is identical at any worker count.
     // The chaos fault-injection marker is the one intentional panic site
     // in this crate (the suite exercises the pool's containment with it).

@@ -45,7 +45,7 @@ pub enum DropReason {
     /// Extracted frame exceeded the disassembly budget (frame byte cap or
     /// sweep-budget exhaustion); analysis of the remainder was skipped.
     DecoderBailout,
-    /// Flow whose analysis task panicked. The work-stealing pool contained
+    /// Flow whose analysis task panicked. The analysis pool contained
     /// the panic — the process survives — but that flow's detection
     /// opportunity was lost.
     AnalysisPanicked,

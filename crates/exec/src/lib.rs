@@ -1,56 +1,50 @@
 #![deny(missing_docs)]
-//! `snids-exec` — a from-scratch, std-only work-stealing thread pool.
+#![forbid(unsafe_code)]
+//! `snids-exec` — a from-scratch, std-only, ordered parallel map.
 //!
 //! The pipeline's flow-analysis tail (extraction → disassembly → IR lift →
 //! template matching) is embarrassingly parallel: flows are independent and
-//! share no mutable state. This crate supplies the executor that actually
-//! spreads that work across cores. It is deliberately dependency-free (std
-//! only) so the workspace stays hermetic.
+//! share no mutable state. So the only parallelism the engine needs is an
+//! ordered map over flow batches, and this crate supplies exactly that. It
+//! is deliberately dependency-free (std only) so the workspace stays
+//! hermetic.
 //!
 //! # Design
 //!
-//! * **One deque per worker, plus a global injector.** A worker pushes
-//!   tasks it spawns onto the *back* of its own deque and pops from the
-//!   back (LIFO — cache-hot, depth-first). External threads push onto the
-//!   global injector. An idle worker takes from the injector first, then
-//!   steals from the *front* of a sibling's deque (FIFO — the oldest,
-//!   largest-granularity work migrates).
-//! * **Chunked data-parallel maps.** [`ThreadPool::par_map`] and friends
-//!   split a slice into contiguous chunks (about four per worker by
-//!   default) and gather per-chunk results into pre-ordered slots, so the
-//!   output order always equals the input order no matter which worker ran
-//!   which chunk, or in what order.
-//! * **Panic isolation.** Every task runs under `catch_unwind`. A panic in
-//!   a strict map ([`ThreadPool::par_map`]) is re-thrown on the calling
-//!   thread *after* every other task has finished — the pool's workers
-//!   never die. [`ThreadPool::try_par_map`] goes further and isolates
-//!   panics per *item*, returning `Err(TaskPanic)` for the poisoned inputs
-//!   while every healthy item still produces its result. This is what lets
-//!   the NIDS drop one hostile flow instead of the whole process.
-//! * **Blocked callers help.** A worker that calls `par_map` on its own
-//!   pool executes queued tasks while it waits, so nested parallelism
-//!   cannot deadlock.
+//! * **Scoped workers, one cursor.** [`ThreadPool::try_par_map`] runs
+//!   inside [`std::thread::scope`]: the calling thread is worker 0, joined
+//!   by up to `threads - 1` scoped helpers. Each worker claims the next
+//!   unclaimed item from one shared atomic cursor, so uneven items balance
+//!   themselves. No thread outlives the call.
+//! * **Ordered output.** Each result is tagged with its item's index and
+//!   put back in input order after the join, so the output never depends
+//!   on which worker ran which item.
+//! * **Panic isolation.** Every item runs under `catch_unwind`; a panic
+//!   yields `Err(TaskPanic)` for that item while every healthy item still
+//!   produces its result. This is what lets the NIDS drop one hostile flow
+//!   instead of the whole process.
+//! * **Exact self-profile.** Each worker books its item count and busy
+//!   time before the join, so [`ThreadPool::stats`] read after a map
+//!   returns accounts for all of it.
 //!
 //! # Sizing
 //!
-//! Worker count resolves, in order: an explicit [`ThreadPool::new`]
-//! argument, the `SNIDS_THREADS` environment variable (for the shared
-//! [`global`] pool), then [`std::thread::available_parallelism`].
+//! The worker count is the [`ThreadPool::new`] argument. Callers that do
+//! not pick one use [`default_threads`]: the `SNIDS_THREADS` environment
+//! variable, else [`std::thread::available_parallelism`].
 //!
 //! ```
 //! let pool = snids_exec::ThreadPool::new(4);
-//! let squares = pool.par_map(&[1u64, 2, 3, 4], |x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
+//! let squares: Result<Vec<u64>, _> =
+//!     pool.try_par_map(&[1u64, 2, 3, 4], |x| x * x).into_iter().collect();
+//! assert_eq!(squares, Ok(vec![1, 4, 9, 16]));
 //! ```
 
-mod latch;
 mod pool;
 
 pub use pool::{PoolStats, TaskPanic, ThreadPool, WorkerStats};
 
-use std::sync::OnceLock;
-
-/// Environment variable overriding the global pool's worker count.
+/// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "SNIDS_THREADS";
 
 /// Interpret a raw `SNIDS_THREADS` value: `Ok(None)` when unset,
@@ -70,13 +64,14 @@ pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// Worker count the global pool uses: `SNIDS_THREADS` when set to a
-/// positive integer, otherwise [`std::thread::available_parallelism`]
-/// (falling back to 1 when even that is unavailable). An unusable
-/// `SNIDS_THREADS` value emits a warning through [`snids_obs::warn`]
-/// rather than falling back silently — once per process, because the
-/// global pool is lazy and a front-end may also call this eagerly at
-/// startup to surface the warning even on runs that never parallelize.
+/// Worker count for a pool whose caller did not pick one: `SNIDS_THREADS`
+/// when set to a positive integer, otherwise
+/// [`std::thread::available_parallelism`] (falling back to 1 when even
+/// that is unavailable). An unusable `SNIDS_THREADS` value emits a warning
+/// through [`snids_obs::warn`] rather than falling back silently — once
+/// per process, because every pipeline resolves its pool lazily and a
+/// front-end may also call this eagerly at startup to surface the warning
+/// even on runs that never parallelize.
 pub fn default_threads() -> usize {
     static WARNED: std::sync::Once = std::sync::Once::new();
     let raw = std::env::var(THREADS_ENV).ok();
@@ -94,13 +89,6 @@ fn detected_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// The process-wide shared pool, created on first use with
-/// [`default_threads`] workers. Lives for the remainder of the process.
-pub fn global() -> &'static ThreadPool {
-    static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-    GLOBAL.get_or_init(|| ThreadPool::new(default_threads()))
 }
 
 #[cfg(test)]

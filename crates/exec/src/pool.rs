@@ -1,133 +1,70 @@
-//! The pool proper: worker threads, deques, stealing, and the chunked
-//! parallel-map entry points.
+//! The pool proper: one ordered, panic-isolating parallel map on scoped
+//! threads.
 
-use crate::latch::Latch;
 use std::any::Any;
-use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
 
-/// A unit of work queued on the pool.
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// How long an idle worker parks before re-checking the queues. A push
-/// always notifies, so this only bounds the cost of a lost wakeup (and the
-/// latency of noticing shutdown).
-const PARK_TIMEOUT: Duration = Duration::from_millis(10);
-
-/// Target chunks per worker for the auto-chunked maps: enough slack for
-/// stealing to balance uneven chunks, few enough to keep per-chunk
-/// bookkeeping negligible.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// Self-profiling cells for one worker (wait-free updates on the
-/// scheduling path; read racily by [`ThreadPool::stats`]).
+/// One worker's self-profiling cells, booked once per map when the worker
+/// runs out of items.
 #[derive(Default)]
 struct WorkerCells {
-    /// Tasks this worker (or a caller helping under its index) executed.
+    /// Items this worker ran.
     tasks: AtomicU64,
-    /// Tasks taken from a *sibling's* deque.
-    steals: AtomicU64,
-    /// Nanoseconds spent inside task bodies (not parked, not searching).
+    /// Nanoseconds this worker spent claiming and running items.
     busy_nanos: AtomicU64,
 }
 
-/// State shared between the pool handle and its workers.
-struct Shared {
-    /// Tasks submitted from outside the pool (FIFO).
-    injector: Mutex<VecDeque<Task>>,
-    /// One deque per worker: owner pushes/pops the back, thieves take the
-    /// front.
-    locals: Vec<Mutex<VecDeque<Task>>>,
-    /// Parked workers wait here (paired with the injector mutex).
-    wakeup: Condvar,
-    /// Cleared on shutdown; workers drain their queues and exit.
-    live: AtomicBool,
-    /// Tasks whose panic was contained by a worker (observability).
-    tasks_panicked: AtomicU64,
-    /// Per-worker scheduling counters, indexed like `locals`.
-    worker_cells: Vec<WorkerCells>,
-    /// Tasks pushed onto the injector (external submissions).
-    injected: AtomicU64,
-}
-
-thread_local! {
-    /// `(pool identity, worker index)` when the current thread is a pool
-    /// worker. Routes same-pool pushes to the worker's own deque and lets
-    /// a blocked caller help execute tasks instead of deadlocking.
-    static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    // Queue critical sections are pure VecDeque ops; recover from poison
-    // rather than wedging the whole executor.
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A work-stealing thread pool. See the crate docs for the design.
+/// A parallel-map executor for `threads` workers. See the crate docs.
 ///
-/// Dropping the pool finishes all queued tasks, then joins the workers.
+/// It holds no threads between calls: each [`ThreadPool::try_par_map`]
+/// runs on the calling thread plus up to `threads - 1` scoped helpers, and
+/// joins them all before it returns.
 pub struct ThreadPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
     threads: usize,
+    /// Items whose panic a map contained.
+    tasks_panicked: AtomicU64,
+    /// Per-worker tallies; index 0 is the calling thread.
+    workers: Vec<WorkerCells>,
 }
 
-/// One worker's scheduling tallies (see [`ThreadPool::stats`]).
+/// One worker's tallies (see [`ThreadPool::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Tasks executed on this worker's index (including helping callers).
+    /// Items this worker ran.
     pub tasks: u64,
-    /// Tasks stolen from a sibling's deque.
+    /// Always 0: every worker claims from one shared cursor, so there is
+    /// nothing to steal. Kept for readers of the field.
     pub steals: u64,
-    /// Wall nanoseconds spent inside task bodies.
+    /// Wall nanoseconds this worker spent claiming and running items.
     pub busy_nanos: u64,
 }
 
-/// A point-in-time scheduler self-profile.
+/// A scheduler self-profile. Exact once the map that booked it returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker count.
     pub threads: usize,
-    /// Tasks submitted from outside the pool (injector pushes).
-    pub injected: u64,
-    /// Tasks currently waiting on the injector.
-    pub injector_depth: usize,
-    /// Tasks whose panic a worker contained.
+    /// Items whose panic a map contained.
     pub tasks_panicked: u64,
-    /// Per-worker tallies, indexed by worker.
+    /// Per-worker tallies, indexed by worker (0 is the calling thread).
     pub workers: Vec<WorkerStats>,
 }
 
 impl PoolStats {
-    /// Total tasks executed across workers.
+    /// Total items run across workers.
     pub fn tasks_total(&self) -> u64 {
         self.workers.iter().map(|w| w.tasks).sum()
     }
 
-    /// Total steals across workers.
+    /// Total steals across workers: always 0 (see [`WorkerStats::steals`]).
     pub fn steals_total(&self) -> u64 {
         self.workers.iter().map(|w| w.steals).sum()
     }
-
-    /// Fraction of `wall_nanos` the average worker spent busy (clamped to
-    /// `[0, 1]`; 0 when `wall_nanos` is 0).
-    pub fn busy_fraction(&self, wall_nanos: u64) -> f64 {
-        let denom = wall_nanos.saturating_mul(self.threads as u64);
-        if denom == 0 {
-            return 0.0;
-        }
-        let busy: u64 = self.workers.iter().map(|w| w.busy_nanos).sum();
-        (busy as f64 / denom as f64).clamp(0.0, 1.0)
-    }
 }
 
-/// A contained panic from one task (or one item of a
-/// [`ThreadPool::try_par_map`]).
+/// A contained panic from one item of a [`ThreadPool::try_par_map`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskPanic {
     /// The panic payload, stringified when it was a `&str`/`String`.
@@ -156,295 +93,102 @@ impl std::fmt::Display for TaskPanic {
 impl std::error::Error for TaskPanic {}
 
 impl ThreadPool {
-    /// Spawn a pool with `threads` workers (clamped to at least 1).
+    /// A pool of `threads` workers (clamped to at least 1). No thread is
+    /// spawned until a map runs.
     pub fn new(threads: usize) -> ThreadPool {
         let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            wakeup: Condvar::new(),
-            live: AtomicBool::new(true),
-            tasks_panicked: AtomicU64::new(0),
-            worker_cells: (0..threads).map(|_| WorkerCells::default()).collect(),
-            injected: AtomicU64::new(0),
-        });
-        let workers = (0..threads)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("snids-exec-{idx}"))
-                    .spawn(move || worker_main(shared, idx))
-                    .expect("spawning a pool worker thread")
-            })
-            .collect();
         ThreadPool {
-            shared,
-            workers,
             threads,
+            tasks_panicked: AtomicU64::new(0),
+            workers: (0..threads).map(|_| WorkerCells::default()).collect(),
         }
     }
 
-    /// Number of worker threads.
+    /// Number of workers, the calling thread included.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Tasks whose panic a worker contained so far (strict maps re-throw
-    /// theirs; this also counts fire-and-forget [`ThreadPool::spawn`]s).
+    /// Items whose panic a map contained so far.
     pub fn tasks_panicked(&self) -> u64 {
-        self.shared.tasks_panicked.load(Ordering::Relaxed)
+        self.tasks_panicked.load(Ordering::Relaxed)
     }
 
-    /// A racy-but-consistent-enough snapshot of the scheduler's
-    /// self-profile: per-worker task/steal/busy tallies, external
-    /// submissions, and the current injector backlog.
+    /// The per-worker item and busy tallies booked by every map so far.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             threads: self.threads,
-            injected: self.shared.injected.load(Ordering::Relaxed),
-            injector_depth: lock(&self.shared.injector).len(),
             tasks_panicked: self.tasks_panicked(),
             workers: self
-                .shared
-                .worker_cells
+                .workers
                 .iter()
                 .map(|c| WorkerStats {
                     tasks: c.tasks.load(Ordering::Relaxed),
-                    steals: c.steals.load(Ordering::Relaxed),
+                    steals: 0,
                     busy_nanos: c.busy_nanos.load(Ordering::Relaxed),
                 })
                 .collect(),
         }
     }
 
-    /// Identity used to recognise "am I on this pool's worker?".
-    fn id(&self) -> usize {
-        Arc::as_ptr(&self.shared) as usize
-    }
-
-    /// Fire-and-forget: queue `task` for execution. A panic inside is
-    /// contained (and counted), not propagated.
-    pub fn spawn<F: FnOnce() + Send + 'static>(&self, task: F) {
-        self.push_task(Box::new(task));
-    }
-
-    /// Map `f` over `items` in parallel, preserving input order in the
-    /// output. A panic in `f` is re-thrown on this thread once all other
-    /// chunks have finished; the workers survive.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.par_map_chunked(items, self.auto_chunk(items.len()), f)
-    }
-
-    /// [`ThreadPool::par_map`] with an explicit chunk size (items per
-    /// task). Small inputs (one chunk) and one-worker pools run inline on
-    /// the calling thread.
-    pub fn par_map_chunked<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let n = items.len();
-        let chunk = chunk.max(1);
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.threads == 1 || n <= chunk {
-            return items.iter().map(f).collect();
-        }
-        let parts: Vec<&[T]> = items.chunks(chunk).collect();
-        let slots: Vec<Mutex<Vec<R>>> = parts.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let f = &f;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = parts
-            .iter()
-            .zip(&slots)
-            .map(|(&part, slot)| {
-                Box::new(move || {
-                    *lock(slot) = part.iter().map(f).collect();
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        self.run_scoped(tasks);
-        slots
-            .into_iter()
-            .flat_map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect()
-    }
-
-    /// Map with per-item panic isolation: item `i`'s result is
-    /// `Err(TaskPanic)` when `f` panicked on it, and every other item still
-    /// yields `Ok`. Output order equals input order.
+    /// Map `f` over `items` with per-item panic isolation: item `i`'s
+    /// result is `Err(TaskPanic)` when `f` panicked on it, and every other
+    /// item still yields `Ok`. Output order equals input order.
+    ///
+    /// The calling thread is worker 0, joined by up to `threads - 1`
+    /// scoped helpers; each worker claims the next unclaimed item from one
+    /// shared cursor. A helper the OS refuses to spawn is simply absent:
+    /// the remaining workers drain the cursor.
     pub fn try_par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, TaskPanic>>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let f = &f;
-        let results = self.par_map(items, move |item| {
-            catch_unwind(AssertUnwindSafe(|| f(item))).map_err(TaskPanic::from_payload)
+        let next = AtomicUsize::new(0);
+        let work = |worker: usize| {
+            let start = Instant::now();
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = catch_unwind(AssertUnwindSafe(|| f(item)));
+                done.push((i, result.map_err(TaskPanic::from_payload)));
+            }
+            let cells = &self.workers[worker];
+            cells.tasks.fetch_add(done.len() as u64, Ordering::Relaxed);
+            cells
+                .busy_nanos
+                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            done
+        };
+        let helpers = self.threads.min(items.len()).saturating_sub(1);
+        let work = &work;
+        let mut results: Vec<(usize, Result<R, TaskPanic>)> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..=helpers)
+                .filter_map(|worker| {
+                    std::thread::Builder::new()
+                        .name(format!("snids-exec-{worker}"))
+                        .spawn_scoped(scope, move || work(worker))
+                        .ok()
+                })
+                .collect();
+            let mut results = work(0);
+            for helper in spawned {
+                // Items run under `catch_unwind`, so a helper can only
+                // unwind from its own bookkeeping.
+                results.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|payload| resume_unwind(payload)),
+                );
+            }
+            results
         });
-        let contained = results.iter().filter(|r| r.is_err()).count() as u64;
-        if contained > 0 {
-            self.shared
-                .tasks_panicked
-                .fetch_add(contained, Ordering::Relaxed);
-        }
-        results
-    }
-
-    /// Parallel map over an owned `Vec`, consuming the items. Order
-    /// preserved; panics re-thrown like [`ThreadPool::par_map`].
-    pub fn par_map_vec<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let chunk = self.auto_chunk(n);
-        if self.threads == 1 || n <= chunk {
-            return items.into_iter().map(f).collect();
-        }
-        // Each item sits in an Option cell; disjoint `chunks_mut` windows
-        // let every task move its own items out without unsafe aliasing.
-        let mut cells: Vec<Option<T>> = items.into_iter().map(Some).collect();
-        let slots: Vec<Mutex<Vec<R>>> = cells
-            .chunks(chunk)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        let f = &f;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = cells
-            .chunks_mut(chunk)
-            .zip(&slots)
-            .map(|(part, slot)| {
-                Box::new(move || {
-                    let out: Vec<R> = part
-                        .iter_mut()
-                        .map(|cell| f(cell.take().expect("each cell is taken exactly once")))
-                        .collect();
-                    *lock(slot) = out;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        self.run_scoped(tasks);
-        slots
-            .into_iter()
-            .flat_map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect()
-    }
-
-    /// Parallel flat-map: `f` yields a serial iterator per item; the
-    /// concatenation follows input order.
-    pub fn par_flat_map<T, R, I, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: IntoIterator<Item = R>,
-        F: Fn(&T) -> I + Sync,
-    {
-        self.par_map(items, |item| f(item).into_iter().collect::<Vec<R>>())
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Items per chunk so each worker sees about [`CHUNKS_PER_WORKER`]
-    /// chunks.
-    fn auto_chunk(&self, n: usize) -> usize {
-        n.div_ceil(self.threads * CHUNKS_PER_WORKER).max(1)
-    }
-
-    /// Queue a batch of borrowing tasks and do not return until every one
-    /// has run. The first escaped panic (if any) is re-thrown here, after
-    /// all tasks completed.
-    fn run_scoped<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        let latch = Latch::new(tasks.len());
-        let escaped: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
-        {
-            let latch = &latch;
-            let escaped = &escaped;
-            // SAFETY: run_scoped does not return (or unwind) past the
-            // `wait` below until the latch confirms every wrapped task
-            // finished, so no task outlives the locals ('env data, `latch`,
-            // `escaped`) it borrows. The fat-pointer layout is identical
-            // across the two lifetimes.
-            unsafe fn erase<'a>(task: Box<dyn FnOnce() + Send + 'a>) -> Task {
-                std::mem::transmute(task)
-            }
-            for task in tasks {
-                let erased = unsafe {
-                    erase(Box::new(move || {
-                        // The guard signals on drop, so even a panicking
-                        // bookkeeping path cannot leave the caller waiting.
-                        let _done = latch.count_down_on_drop();
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                            lock(escaped).push(payload);
-                        }
-                    }))
-                };
-                self.push_task(erased);
-            }
-            self.wait(latch);
-        }
-        let mut escaped = escaped.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(payload) = escaped.pop() {
-            self.shared.tasks_panicked.fetch_add(1, Ordering::Relaxed);
-            resume_unwind(payload);
-        }
-    }
-
-    /// Route a task: same-pool workers enqueue onto their own deque,
-    /// everyone else onto the injector; then wake sleepers.
-    fn push_task(&self, task: Task) {
-        match CURRENT_WORKER.with(|c| c.get()) {
-            Some((pool, idx)) if pool == self.id() => {
-                lock(&self.shared.locals[idx]).push_back(task)
-            }
-            _ => {
-                self.shared.injected.fetch_add(1, Ordering::Relaxed);
-                lock(&self.shared.injector).push_back(task)
-            }
-        }
-        self.shared.wakeup.notify_all();
-    }
-
-    /// Wait for `latch`; a caller that is itself a worker of this pool
-    /// keeps executing queued tasks meanwhile (nested maps cannot
-    /// deadlock).
-    fn wait(&self, latch: &Latch) {
-        match CURRENT_WORKER.with(|c| c.get()) {
-            Some((pool, idx)) if pool == self.id() => {
-                while !latch.is_done() {
-                    match find_task(&self.shared, idx) {
-                        Some(task) => run_task(&self.shared, idx, task),
-                        None => std::thread::yield_now(),
-                    }
-                }
-            }
-            _ => latch.wait(),
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shared.live.store(false, Ordering::Release);
-        self.shared.wakeup.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        results.sort_unstable_by_key(|(i, _)| *i);
+        let contained = results.iter().filter(|(_, r)| r.is_err()).count() as u64;
+        self.tasks_panicked.fetch_add(contained, Ordering::Relaxed);
+        results.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -457,126 +201,22 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
-/// Scheduling order: own deque (LIFO) → injector (FIFO) → steal a sibling's
-/// oldest task (FIFO). A successful steal is counted against `idx`.
-fn find_task(shared: &Shared, idx: usize) -> Option<Task> {
-    if let Some(task) = lock(&shared.locals[idx]).pop_back() {
-        return Some(task);
-    }
-    if let Some(task) = lock(&shared.injector).pop_front() {
-        return Some(task);
-    }
-    let n = shared.locals.len();
-    for offset in 1..n {
-        let victim = (idx + offset) % n;
-        if let Some(task) = lock(&shared.locals[victim]).pop_front() {
-            shared.worker_cells[idx]
-                .steals
-                .fetch_add(1, Ordering::Relaxed);
-            return Some(task);
-        }
-    }
-    None
-}
-
-/// Run one task with its panic contained (the worker must survive anything
-/// a task does), charging its wall time to `idx`'s busy counter.
-fn run_task(shared: &Shared, idx: usize, task: Task) {
-    let start = std::time::Instant::now();
-    if catch_unwind(AssertUnwindSafe(task)).is_err() {
-        shared.tasks_panicked.fetch_add(1, Ordering::Relaxed);
-    }
-    let cells = &shared.worker_cells[idx];
-    cells.tasks.fetch_add(1, Ordering::Relaxed);
-    cells
-        .busy_nanos
-        .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-}
-
-fn worker_main(shared: Arc<Shared>, idx: usize) {
-    let id = Arc::as_ptr(&shared) as usize;
-    CURRENT_WORKER.with(|c| c.set(Some((id, idx))));
-    loop {
-        if let Some(task) = find_task(&shared, idx) {
-            run_task(&shared, idx, task);
-            continue;
-        }
-        if !shared.live.load(Ordering::Acquire) {
-            return;
-        }
-        // Park until a push notifies (or the timeout re-checks, bounding
-        // any lost-wakeup race between the emptiness check and the wait).
-        let guard = lock(&shared.injector);
-        if guard.is_empty() && shared.live.load(Ordering::Acquire) {
-            let _ = shared.wakeup.wait_timeout(guard, PARK_TIMEOUT);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn par_map_preserves_order() {
-        let pool = ThreadPool::new(4);
-        let items: Vec<u64> = (0..1000).collect();
-        let doubled = pool.par_map(&items, |x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_vec_consumes_in_order() {
-        let pool = ThreadPool::new(3);
-        let items: Vec<String> = (0..100).map(|i| format!("s{i}")).collect();
-        let lens = pool.par_map_vec(items, |s| s.len());
-        assert_eq!(lens.len(), 100);
-        assert_eq!(lens[0], 2);
-        assert_eq!(lens[99], 3);
-    }
-
-    #[test]
-    fn par_flat_map_concatenates_in_order() {
-        let pool = ThreadPool::new(4);
-        let items: Vec<usize> = (0..50).collect();
-        let out = pool.par_flat_map(&items, |&n| vec![n; n % 3]);
-        let expected: Vec<usize> = items.iter().flat_map(|&n| vec![n; n % 3]).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn work_actually_lands_on_multiple_queues() {
-        // Smoke that the pool runs tasks at all and the caller's thread is
-        // not the only executor (cannot assert true concurrency on a
-        // 1-core host, but the tasks must all run).
-        let pool = ThreadPool::new(4);
-        let count = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..256).collect();
-        pool.par_map(&items, |_| count.fetch_add(1, Ordering::Relaxed));
-        assert_eq!(count.load(Ordering::Relaxed), 256);
-    }
-
-    #[test]
-    fn strict_map_rethrows_after_all_tasks_finish() {
-        let pool = ThreadPool::new(2);
-        let ran = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..64).collect();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.par_map(&items, |&x| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                if x == 13 {
-                    panic!("poisoned item");
-                }
-                x
-            })
-        }));
-        assert!(result.is_err());
-        // Every healthy item still ran (the panic only killed its chunk's
-        // remaining items).
-        assert!(ran.load(Ordering::Relaxed) >= 14);
-        // The pool survives and keeps working.
-        assert_eq!(pool.par_map(&items, |&x| x + 1)[0], 1);
+    fn try_par_map_preserves_order() {
+        for threads in [1, 2, 4, 8] {
+            let pool = ThreadPool::new(threads);
+            let items: Vec<u64> = (0..1000).collect();
+            let doubled: Vec<u64> = pool
+                .try_par_map(&items, |x| x * 2)
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect();
+            assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -599,92 +239,41 @@ mod tests {
             }
         }
         assert_eq!(pool.tasks_panicked(), 10);
-    }
-
-    #[test]
-    fn nested_par_map_from_worker_does_not_deadlock() {
-        let pool = ThreadPool::new(2);
-        let outer: Vec<u32> = (0..8).collect();
-        let inner: Vec<u32> = (0..32).collect();
-        let sums = pool.par_map(&outer, |&o| {
-            // This runs on a worker; the nested map must help, not block.
-            pool.par_map(&inner, |&i| i + o).iter().sum::<u32>()
-        });
-        assert_eq!(sums.len(), 8);
-        assert_eq!(sums[0], (0..32).sum::<u32>());
-    }
-
-    #[test]
-    fn spawn_runs_and_contains_panics() {
-        let pool = ThreadPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..16 {
-            let hits = Arc::clone(&hits);
-            pool.spawn(move || {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.spawn(|| panic!("contained"));
-        // Synchronise by running a barrier-like map.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while (hits.load(Ordering::Relaxed) < 16 || pool.tasks_panicked() < 1)
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-        assert_eq!(pool.tasks_panicked(), 1);
-    }
-
-    #[test]
-    fn single_thread_pool_runs_inline() {
-        let pool = ThreadPool::new(1);
-        assert_eq!(pool.threads(), 1);
-        let items: Vec<u64> = (0..100).collect();
-        assert_eq!(pool.par_map(&items, |x| x + 1).len(), 100);
+        assert_eq!(pool.stats().tasks_panicked, 10);
     }
 
     #[test]
     fn empty_input_is_fine() {
         let pool = ThreadPool::new(4);
         let empty: Vec<u32> = Vec::new();
-        assert!(pool.par_map(&empty, |x| *x).is_empty());
-        assert!(pool.par_map_vec(empty, |x| x).is_empty());
+        assert!(pool.try_par_map(&empty, |x| *x).is_empty());
+        assert_eq!(pool.stats().tasks_total(), 0);
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
         let pool = ThreadPool::new(0);
         assert_eq!(pool.threads(), 1);
+        assert_eq!(pool.try_par_map(&[5u8], |x| x + 1), vec![Ok(6)]);
     }
 
     #[test]
-    fn stats_account_for_executed_work() {
-        let pool = ThreadPool::new(3);
-        let items: Vec<u64> = (0..500).collect();
-        let _ = pool.par_map(&items, |x| {
-            // Enough work per item that busy_nanos cannot round to zero.
-            (0..200u64).fold(*x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
-        });
-        // The latch releases before the executing worker finishes its
-        // bookkeeping, so give the final tally a moment to land.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while pool.stats().tasks_total() < pool.stats().injected
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(1));
+    fn stats_are_exact_when_the_map_returns() {
+        for threads in [1, 3] {
+            let pool = ThreadPool::new(threads);
+            let items: Vec<u64> = (0..500).collect();
+            let _ = pool.try_par_map(&items, |x| {
+                // Enough work per item that busy_nanos cannot round to zero.
+                (0..200u64).fold(*x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
+            });
+            // No wait: every worker booked its tallies before the join.
+            let stats = pool.stats();
+            assert_eq!(stats.threads, threads);
+            assert_eq!(stats.workers.len(), threads);
+            assert_eq!(stats.tasks_total(), items.len() as u64, "{stats:?}");
+            assert_eq!(stats.steals_total(), 0);
+            assert_eq!(stats.tasks_panicked, 0);
+            assert!(stats.workers.iter().map(|w| w.busy_nanos).sum::<u64>() > 0);
         }
-        let stats = pool.stats();
-        assert_eq!(stats.threads, 3);
-        assert_eq!(stats.workers.len(), 3);
-        // Every chunk ran as a task somewhere; the caller is not a worker,
-        // so all chunks went through the injector.
-        assert!(stats.tasks_total() >= 2, "{stats:?}");
-        assert_eq!(stats.injected, stats.tasks_total(), "{stats:?}");
-        assert_eq!(stats.injector_depth, 0);
-        assert!(stats.workers.iter().map(|w| w.busy_nanos).sum::<u64>() > 0);
-        let frac = stats.busy_fraction(u64::MAX / 8);
-        assert!((0.0..=1.0).contains(&frac));
-        assert_eq!(stats.busy_fraction(0), 0.0);
     }
 }

@@ -11,6 +11,7 @@
 //! "special binary frames" the disassembler stage consumes. Everything it
 //! rejects never reaches the expensive stages, which is where the paper's
 //! efficiency claim comes from.
+#![forbid(unsafe_code)]
 
 pub mod extractor;
 pub mod http;

@@ -9,6 +9,7 @@
 //! counted, so the sensor can both mirror its victims' stacks and notice
 //! when an attacker tries to split them.
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod defrag;

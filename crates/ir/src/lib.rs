@@ -15,6 +15,7 @@
 //!    `push imm / pop reg` ⇒ `reg = imm`), which is contribution (c) of the
 //!    paper: templates still match when the key is built by "added
 //!    sequences of stack and mathematic operations".
+#![forbid(unsafe_code)]
 
 pub mod arena;
 pub mod dataflow;

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! `snids-obs` — pipeline-wide observability: stage metrics, latency
 //! histograms, a flow flight recorder, and metric exposition.
 //!

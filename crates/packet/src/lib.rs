@@ -12,6 +12,7 @@
 //!
 //! The NIDS pipeline only ever consumes [`Packet`] values; whether they came
 //! from a pcap file or a generator is invisible to later stages.
+#![forbid(unsafe_code)]
 
 pub mod checksum;
 pub mod error;

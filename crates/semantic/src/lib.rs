@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Semantic template engine (paper §3 and §4.3).
 //!

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! A Snort-style static-signature NIDS baseline.
 //!

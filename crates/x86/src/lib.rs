@@ -20,6 +20,7 @@
 //! offset. This matters for network data: extracted binary frames contain
 //! non-code bytes, so a scanner must degrade gracefully rather than fail.
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod decoder;
 pub mod fmt;

@@ -38,6 +38,7 @@
 //!
 //! An unknown flag, a value-taking flag without a value, an unparsable
 //! number and a `--chaos` rate outside [0, 1] are usage errors (exit 2).
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

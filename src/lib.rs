@@ -54,12 +54,13 @@
 //! | [`prefilter`] | three-lane vectorized pre-filter fast path |
 //! | [`gen`] | workload generation (engines, exploits, traces) |
 //! | [`core`] | the assembled five-stage pipeline (Figure 3) |
-//! | [`exec`] | the work-stealing thread pool the pipeline runs on |
+//! | [`exec`] | the ordered parallel map the pipeline runs on |
 //! | [`obs`] | stage metrics, flight recorder, metrics exposition |
 //! | [`mod@bench`] | experiment runners (paper tables, figures, ablations) |
 //!
 //! `ARCHITECTURE.md` at the workspace root walks one packet through all of
 //! these layers.
+#![forbid(unsafe_code)]
 
 pub use snids_bench as bench;
 pub use snids_classify as classify;

@@ -7,8 +7,10 @@
 //! behaviour every earlier deployment had. Changing a constant means the
 //! engine's observable output changed; say why in the change log.
 //!
-//! Every replay also checks what must hold whatever the digest: both
-//! ledgers balance and the memory budget drains to zero.
+//! Every corpus replays at 1, 2 and 8 analysis workers, and each must
+//! reach the same pinned digest: thread scheduling never reaches the
+//! output. Every replay also checks what must hold whatever the digest:
+//! both ledgers balance and the memory budget drains to zero.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,10 +74,28 @@ fn digest(r: &Replay) -> u64 {
     })
 }
 
-/// Replay a capture, check the invariants every replay must keep, and
-/// assert its digest is the pinned one.
+/// Analysis worker counts every corpus replays at.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Replay a capture at every count in [`WORKER_COUNTS`], check the
+/// invariants every replay must keep, and assert each digest is the
+/// pinned one. Returns the last replay.
 fn replay_pinned(label: &str, config: NidsConfig, packets: &[Packet], pinned: u64) -> Replay {
+    let [.., last] = WORKER_COUNTS.map(|threads| {
+        let label = format!("{label} threads={threads}");
+        let config = NidsConfig {
+            threads,
+            ..config.clone()
+        };
+        replay_once(&label, config, packets, pinned)
+    });
+    last
+}
+
+fn replay_once(label: &str, config: NidsConfig, packets: &[Packet], pinned: u64) -> Replay {
+    let threads = config.threads;
     let mut nids = Nids::new(config);
+    assert_eq!(nids.analysis_threads(), threads, "[{label}]");
     let alerts = nids
         .process_capture(packets)
         .iter()
