@@ -35,7 +35,7 @@ pub fn figure1_routines() -> [(&'static str, Vec<u8>); 3] {
 
 /// Figure 1: render the three routines and verify one template matches all.
 pub fn fig1() -> (String, bool) {
-    let template = templates::xor_decrypt_loop();
+    let template = templates::builtin("xor-decrypt-loop").expect("built-in template");
     let mut out = String::new();
     let mut all = true;
     for (name, code) in figure1_routines() {
@@ -53,7 +53,7 @@ pub fn fig1() -> (String, bool) {
 /// Figure 2: the template next to a matching obfuscated segment, with the
 /// unified variable bindings.
 pub fn fig2() -> (String, bool) {
-    let template = templates::xor_decrypt_loop();
+    let template = templates::builtin("xor-decrypt-loop").expect("built-in template");
     let code = figure1_routines()[1].1.clone();
     let trace = trace_from(&code, 0, 4096);
     let mut budget = 1_000_000;
@@ -217,7 +217,7 @@ pub fn fig5(seed: u64) -> (String, bool) {
 /// Figure 6: the Linux shell-spawning template, validated against all
 /// eight Table-1 exploits.
 pub fn fig6(seed: u64) -> (String, bool) {
-    let template = templates::linux_shell_spawn();
+    let template = templates::builtin("linux-shell-spawn").expect("built-in template");
     let mut out = template.pretty();
     let extractor = BinaryExtractor::default();
     let analyzer = Analyzer::default();
@@ -245,7 +245,7 @@ pub fn fig6(seed: u64) -> (String, bool) {
 /// Figure 7: the alternate ADMmutate decoder template, validated against
 /// forced load/store-family instances.
 pub fn fig7(seed: u64) -> (String, bool) {
-    let template = templates::admmutate_alt_decoder();
+    let template = templates::builtin("admmutate-alt-decoder").expect("built-in template");
     let mut out = template.pretty();
     let engine = AdmMutate::default();
     let analyzer = Analyzer::default();

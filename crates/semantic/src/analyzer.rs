@@ -332,19 +332,6 @@ impl Analyzer {
         )
     }
 
-    /// Analyze with an explicit start-offset set (shared by the naive path).
-    pub fn analyze_starts(&self, frame: &[u8], starts: &[usize]) -> Vec<TemplateMatch> {
-        self.fast_pass(&mut FrameCode::new(frame), starts, |_| {})
-    }
-
-    /// Analyze a pre-built trace (used by the pipeline when it already has
-    /// one, and by tests).
-    pub fn analyze_trace(&self, trace: &Trace) -> Vec<TemplateMatch> {
-        self.unify(trace)
-            .map(|(tmpl, info)| to_match(tmpl, trace, &info))
-            .collect()
-    }
-
     /// Every template that matches `trace`, in template order.
     fn unify<'a>(
         &'a self,
@@ -437,7 +424,8 @@ impl NaiveAnalyzer {
     /// Analyze one frame from every byte offset.
     pub fn analyze(&self, frame: &[u8]) -> Vec<TemplateMatch> {
         let starts: Vec<usize> = (0..frame.len()).collect();
-        self.inner.analyze_starts(frame, &starts)
+        self.inner
+            .fast_pass(&mut FrameCode::new(frame), &starts, |_| {})
     }
 
     /// Exhaustive detection (no early exit across starts, matching `[5]`'s

@@ -22,6 +22,15 @@
 //! accept hex (`0x…`), decimal, or a quoted 1–4 byte ASCII string
 //! (little-endian, as pushed immediates spell it).
 //!
+//! A `describe <text>` line inside a template sets the description alerts
+//! carry to the rest of the line; without one it reads "user template
+//! `NAME` (loaded from DSL)". Each header and step accepts only the
+//! `key=value` options shown above, and a `syscall` vector is one byte
+//! (`0x00`–`0xff`): anything else is an error, not a silent default.
+//!
+//! The nine built-in templates are written in this language, in
+//! `builtin.tmpl` next to this module: it is the reference example.
+//!
 //! Loaded template names are interned for the process lifetime (templates
 //! are loaded once at sensor startup).
 
@@ -120,6 +129,27 @@ fn kv<'a>(tokens: &'a [&'a str], key: &str) -> Option<&'a str> {
         .find_map(|t| t.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
 }
 
+/// Reject any token after a line's positional arguments that is not a
+/// `key=value` option the line defines, or that repeats one.
+fn check_keys(tokens: &[&str], keys: &[&str], line: usize) -> Result<(), DslError> {
+    fn key(t: &str) -> Option<&str> {
+        t.split_once('=').map(|(k, _)| k)
+    }
+    for (i, t) in tokens.iter().enumerate() {
+        match key(t) {
+            Some(k) if !keys.contains(&k) => {
+                return Err(err(line, format!("unknown option `{t}`")))
+            }
+            Some(k) if tokens[..i].iter().any(|p| key(p) == Some(k)) => {
+                return Err(err(line, format!("option `{k}` given twice")))
+            }
+            Some(_) => {}
+            None => return Err(err(line, format!("unexpected `{t}`"))),
+        }
+    }
+    Ok(())
+}
+
 /// Parse a whole template file.
 pub fn parse(input: &str) -> Result<Vec<Template>, DslError> {
     let mut templates: Vec<Template> = Vec::new();
@@ -137,16 +167,15 @@ pub fn parse(input: &str) -> Result<Vec<Template>, DslError> {
                 if let Some(t) = current.take() {
                     finish_template(t, line_no, &mut templates)?;
                 }
-                let name = *tokens
-                    .get(1)
-                    .ok_or_else(|| err(line_no, "template needs a name"))?;
-                let severity = match kv(&tokens[2..], "severity") {
+                let (args, opts) = line_args(&tokens, 1, &["severity", "gap"], "a name", line_no)?;
+                let name = args[0];
+                let severity = match kv(opts, "severity") {
                     None | Some("high") => Severity::High,
                     Some("medium") => Severity::Medium,
                     Some("info") => Severity::Info,
                     Some(other) => return Err(err(line_no, format!("unknown severity `{other}`"))),
                 };
-                let max_gap = match kv(&tokens[2..], "gap") {
+                let max_gap = match kv(opts, "gap") {
                     None => None,
                     Some(g) => Some(
                         g.parse()
@@ -155,13 +184,27 @@ pub fn parse(input: &str) -> Result<Vec<Template>, DslError> {
                 };
                 current = Some(Template {
                     name: Box::leak(name.to_string().into_boxed_str()),
-                    description: Box::leak(
-                        format!("user template `{name}` (loaded from DSL)").into_boxed_str(),
-                    ),
+                    description: "",
                     ops: Vec::new(),
                     severity,
                     max_gap,
                 });
+            }
+            "describe" => {
+                let t = current
+                    .as_mut()
+                    .ok_or_else(|| err(line_no, "describe before any `template` header"))?;
+                let text = line["describe".len()..].trim();
+                if text.is_empty() {
+                    return Err(err(line_no, "describe needs a description"));
+                }
+                if !t.description.is_empty() {
+                    return Err(err(
+                        line_no,
+                        format!("template `{}` described twice", t.name),
+                    ));
+                }
+                t.description = Box::leak(text.to_string().into_boxed_str());
             }
             step => {
                 let t = current
@@ -177,34 +220,50 @@ pub fn parse(input: &str) -> Result<Vec<Template>, DslError> {
     Ok(templates)
 }
 
-fn finish_template(t: Template, line: usize, out: &mut Vec<Template>) -> Result<(), DslError> {
+fn finish_template(mut t: Template, line: usize, out: &mut Vec<Template>) -> Result<(), DslError> {
     if t.ops.is_empty() {
         return Err(err(line, format!("template `{}` has no steps", t.name)));
     }
     if out.iter().any(|o| o.name == t.name) {
         return Err(err(line, format!("duplicate template name `{}`", t.name)));
     }
+    if t.description.is_empty() {
+        t.description =
+            Box::leak(format!("user template `{}` (loaded from DSL)", t.name).into_boxed_str());
+    }
     out.push(t);
     Ok(())
+}
+
+/// A line's `n` positional arguments and the options after them, which
+/// must be among `keys`.
+fn line_args<'a>(
+    tokens: &'a [&'a str],
+    n: usize,
+    keys: &[&str],
+    usage: &str,
+    line: usize,
+) -> Result<(&'a [&'a str], &'a [&'a str]), DslError> {
+    let (args, opts) = tokens[1..]
+        .split_at_checked(n)
+        .ok_or_else(|| err(line, format!("{} needs {usage}", tokens[0])))?;
+    check_keys(opts, keys, line)?;
+    Ok((args, opts))
 }
 
 fn parse_step(step: &str, tokens: &[&str], line: usize) -> Result<PatOp, DslError> {
     match step {
         "storexform" => {
-            let addr = parse_var(
-                tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "storexform needs a variable"))?,
-                line,
-            )?;
-            let ops = match kv(&tokens[2..], "ops") {
+            let (args, opts) = line_args(tokens, 1, &["ops", "src"], "a variable", line)?;
+            let addr = parse_var(args[0], line)?;
+            let ops = match kv(opts, "ops") {
                 Some(spec) => spec
                     .split(',')
                     .map(|t| parse_bin_kind(t, line))
                     .collect::<Result<Vec<_>, _>>()?,
                 None => vec![BinKind::Xor, BinKind::Add],
             };
-            let src = match kv(&tokens[2..], "src") {
+            let src = match kv(opts, "src") {
                 None | Some("any") => PatValue::Any,
                 Some("known") => PatValue::KnownConst(0),
                 Some(c) => PatValue::Const(parse_const(c, line)?),
@@ -212,58 +271,35 @@ fn parse_step(step: &str, tokens: &[&str], line: usize) -> Result<PatOp, DslErro
             Ok(PatOp::StoreXform { ops, addr, src })
         }
         "loadfrom" => {
-            let dst = parse_var(
-                tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "loadfrom needs DST ADDR"))?,
-                line,
-            )?;
-            let addr = parse_var(
-                tokens
-                    .get(2)
-                    .ok_or_else(|| err(line, "loadfrom needs DST ADDR"))?,
-                line,
-            )?;
+            let (args, _) = line_args(tokens, 2, &[], "DST ADDR", line)?;
+            let dst = parse_var(args[0], line)?;
+            let addr = parse_var(args[1], line)?;
             Ok(PatOp::LoadFrom { dst, addr })
         }
         "storeto" => {
-            let addr = parse_var(
-                tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "storeto needs ADDR SRC"))?,
-                line,
-            )?;
-            let src = parse_var(
-                tokens
-                    .get(2)
-                    .ok_or_else(|| err(line, "storeto needs ADDR SRC"))?,
-                line,
-            )?;
+            let (args, _) = line_args(tokens, 2, &[], "ADDR SRC", line)?;
+            let addr = parse_var(args[0], line)?;
+            let src = parse_var(args[1], line)?;
             Ok(PatOp::StoreTo { addr, src })
         }
         "xform" => {
-            let dst = parse_var(
-                tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "xform needs a variable"))?,
+            let (args, opts) = line_args(tokens, 1, &["ops"], "a variable", line)?;
+            let dst = parse_var(args[0], line)?;
+            let ops = parse_xform_ops(
+                kv(opts, "ops").unwrap_or("xor,or,and,add,not,neg,rol,ror,shl,shr"),
                 line,
             )?;
-            let ops = match kv(&tokens[2..], "ops") {
-                Some(spec) => parse_xform_ops(spec, line)?,
-                None => parse_xform_ops("xor,or,and,add,not,neg,rol,ror,shl,shr", line)?,
-            };
             Ok(PatOp::XformMany { ops, dst })
         }
         "advance" => {
-            let addr = parse_var(
-                tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "advance needs a variable"))?,
-                line,
-            )?;
+            let (args, _) = line_args(tokens, 1, &[], "a variable", line)?;
+            let addr = parse_var(args[0], line)?;
             Ok(PatOp::Advance { addr })
         }
-        "loopback" => Ok(PatOp::LoopBack),
+        "loopback" => {
+            line_args(tokens, 0, &[], "", line)?;
+            Ok(PatOp::LoopBack)
+        }
         "const" => {
             let rest = tokens[1..].join(" ");
             let vals = rest
@@ -276,33 +312,17 @@ fn parse_step(step: &str, tokens: &[&str], line: usize) -> Result<PatOp, DslErro
             Ok(PatOp::SrcConstIn(vals))
         }
         "syscall" => {
-            let vector = parse_const(
-                tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "syscall needs a vector"))?,
-                line,
-            )? as u8;
-            let eax = kv(&tokens[2..], "eax")
-                .map(|v| parse_const(v, line))
-                .transpose()?;
-            let ebx = kv(&tokens[2..], "ebx")
-                .map(|v| parse_const(v, line))
-                .transpose()?;
+            let (args, opts) = line_args(tokens, 1, &["eax", "ebx"], "a vector", line)?;
+            let vector = u8::try_from(parse_const(args[0], line)?)
+                .map_err(|_| err(line, format!("syscall vector `{}` is above 0xff", args[0])))?;
+            let eax = kv(opts, "eax").map(|v| parse_const(v, line)).transpose()?;
+            let ebx = kv(opts, "ebx").map(|v| parse_const(v, line)).transpose()?;
             Ok(PatOp::Syscall { vector, eax, ebx })
         }
         "addr-range" => {
-            let lo = parse_const(
-                tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "addr-range needs LO HI"))?,
-                line,
-            )?;
-            let hi = parse_const(
-                tokens
-                    .get(2)
-                    .ok_or_else(|| err(line, "addr-range needs LO HI"))?,
-                line,
-            )?;
+            let (args, _) = line_args(tokens, 2, &[], "LO HI", line)?;
+            let lo = parse_const(args[0], line)?;
+            let hi = parse_const(args[1], line)?;
             if lo > hi {
                 return Err(err(line, "addr-range LO must be <= HI"));
             }
@@ -340,49 +360,6 @@ template dsl-decoder severity=high gap=8
     }
 
     #[test]
-    fn full_builtin_set_is_expressible() {
-        let dsl = r#"
-template d-xor gap=8
-  storexform X ops=xor,add src=any
-  advance X
-  loopback
-template d-xor-pre gap=8
-  advance X
-  storexform X ops=xor,add src=any
-  loopback
-template d-alt gap=8
-  loadfrom Y X
-  xform Y
-  storeto X Y
-  advance X
-  loopback
-template d-shell
-  const "/bin" | "//sh"
-  const "/bin" | "//sh"
-  syscall 0x80 eax=0xb
-template d-bind
-  syscall 0x66 eax=0x66 ebx=1
-  syscall 0x80 eax=0x66 ebx=2
-  syscall 0x80 eax=0xb
-template d-crii gap=32
-  addr-range 0x78010000 0x7801ffff
-  addr-range 0x78010000 0x7801ffff
-"#;
-        let ts = parse(dsl).unwrap();
-        assert_eq!(ts.len(), 6);
-        // the shell template matches the classic spawner
-        let shell = [
-            0x31, 0xc0, 0x50, 0x68, 0x2f, 0x2f, 0x73, 0x68, 0x68, 0x2f, 0x62, 0x69, 0x6e, 0x89,
-            0xe3, 0x50, 0x53, 0x89, 0xe1, 0x31, 0xd2, 0xb0, 0x0b, 0xcd, 0x80,
-        ];
-        let analyzer = Analyzer::new(ts);
-        assert!(analyzer
-            .analyze(&shell)
-            .iter()
-            .any(|m| m.template == "d-shell"));
-    }
-
-    #[test]
     fn string_constants_little_endian() {
         assert_eq!(parse_const("\"/bin\"", 1).unwrap(), 0x6e69_622f);
         assert_eq!(parse_const("\"A\"", 1).unwrap(), 0x41);
@@ -407,6 +384,42 @@ template d-crii gap=32
 
         let e = parse("template a\n loopback\ntemplate a\n loopback\n").unwrap_err();
         assert!(e.message.contains("duplicate"));
+    }
+
+    #[test]
+    fn syscall_vector_must_fit_a_byte() {
+        let e = parse("template t\n  loopback\n  syscall 0x180 eax=0xb\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("0x180"), "{e}");
+        let ts = parse("template t\n  syscall 0xff\n").unwrap();
+        assert!(matches!(ts[0].ops[0], PatOp::Syscall { vector: 0xff, .. }));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        let e = parse("# typo\ntemplate t gpa=8\n  loopback\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("gpa=8"), "{e}");
+        let e = parse("template t\n  advance X\n  syscall 0x80 eax=0xb ecx=1\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("ecx=1"), "{e}");
+        let e = parse("template t gap=8 gap=4\n  loopback\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("twice"), "{e}");
+        let e = parse("template t\n  loopback now\n").unwrap_err();
+        assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn describe_sets_the_description() {
+        let ts =
+            parse("template t\n  describe a  spaced: [X] <- R; loop # note\n  loopback\n").unwrap();
+        assert_eq!(ts[0].description, "a  spaced: [X] <- R; loop");
+        let ts = parse("template u\n  loopback\n").unwrap();
+        assert_eq!(ts[0].description, "user template `u` (loaded from DSL)");
+        let e = parse("template t\n  describe one\n  describe two\n  loopback\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert_eq!(parse("describe orphan\n").unwrap_err().line, 1);
     }
 
     #[test]

@@ -466,6 +466,10 @@ mod tests {
     use crate::templates;
     use snids_ir::trace_from;
 
+    fn builtin(name: &str) -> Template {
+        templates::builtin(name).unwrap()
+    }
+
     fn matches(tmpl: &Template, code: &[u8]) -> bool {
         let trace = trace_from(code, 0, 4096);
         let mut budget = DEFAULT_BUDGET;
@@ -476,7 +480,7 @@ mod tests {
     #[test]
     fn matches_figure_1a() {
         let code = [0x80, 0x30, 0x95, 0x40, 0xe2, 0xfa];
-        assert!(matches(&templates::xor_decrypt_loop(), &code));
+        assert!(matches(&builtin("xor-decrypt-loop"), &code));
     }
 
     /// Figure 1(b): key built by mov+add, inc replaced by add.
@@ -489,7 +493,7 @@ mod tests {
             0x83, 0xc0, 0x01, // add eax, 1
             0xe2, 0xf1, // loop 0
         ];
-        assert!(matches(&templates::xor_decrypt_loop(), &code));
+        assert!(matches(&builtin("xor-decrypt-loop"), &code));
     }
 
     /// Figure 1(c): out-of-order with jmps and garbage instructions.
@@ -506,7 +510,7 @@ mod tests {
         b.extend_from_slice(&[0x30, 0x18]); // xor [eax], bl
         b.extend_from_slice(&[0xeb, 0xef]); // jmp two
         b.extend_from_slice(&[0xe2, 0xe4]); // three: loop decode
-        assert!(matches(&templates::xor_decrypt_loop(), &b));
+        assert!(matches(&builtin("xor-decrypt-loop"), &b));
     }
 
     /// Register reassignment: the decoder on EDX/ESI instead of EAX/EBX.
@@ -517,13 +521,13 @@ mod tests {
             0x42, // inc edx
             0xe2, 0xfa, // loop
         ];
-        assert!(matches(&templates::xor_decrypt_loop(), &code));
+        assert!(matches(&builtin("xor-decrypt-loop"), &code));
         let code = [
             0x80, 0x36, 0x7a, // xor byte [esi], 0x7a
             0x83, 0xc6, 0x04, // add esi, 4
             0xe2, 0xf8,
         ];
-        assert!(matches(&templates::xor_decrypt_loop(), &code));
+        assert!(matches(&builtin("xor-decrypt-loop"), &code));
     }
 
     /// NOP and junk insertion between the template steps.
@@ -538,7 +542,7 @@ mod tests {
             0xf8, // clc (junk)
             0xe2, 0xf1, // loop
         ];
-        assert!(matches(&templates::xor_decrypt_loop(), &code));
+        assert!(matches(&builtin("xor-decrypt-loop"), &code));
     }
 
     /// Junk that CLOBBERS the bound pointer register must break the match —
@@ -551,7 +555,7 @@ mod tests {
             0x40, // inc eax
             0xe2, 0xf5, // loop
         ];
-        assert!(!matches(&templates::xor_decrypt_loop(), &code));
+        assert!(!matches(&builtin("xor-decrypt-loop"), &code));
     }
 
     /// The advance may come through LEA or SUB of a negative constant.
@@ -559,10 +563,10 @@ mod tests {
     fn canonicalized_advances_match() {
         // lea eax, [eax+1]
         let code = [0x80, 0x30, 0x95, 0x8d, 0x40, 0x01, 0xe2, 0xf8];
-        assert!(matches(&templates::xor_decrypt_loop(), &code));
+        assert!(matches(&builtin("xor-decrypt-loop"), &code));
         // sub eax, -1
         let code = [0x80, 0x30, 0x95, 0x83, 0xe8, 0xff, 0xe2, 0xf8];
-        assert!(matches(&templates::xor_decrypt_loop(), &code));
+        assert!(matches(&builtin("xor-decrypt-loop"), &code));
     }
 
     /// A dec/jnz loop instead of LOOP.
@@ -574,7 +578,7 @@ mod tests {
             0x49, // dec ecx
             0x75, 0xf9, // jnz -7 -> 0
         ];
-        assert!(matches(&templates::xor_decrypt_loop(), &code));
+        assert!(matches(&builtin("xor-decrypt-loop"), &code));
     }
 
     /// The alternate (Figure 7) decoder: load, or/and/not transforms, store.
@@ -589,10 +593,10 @@ mod tests {
             0x46, // inc esi
             0xe2, 0xf1, // loop
         ];
-        assert!(matches(&templates::admmutate_alt_decoder(), &code));
+        assert!(matches(&builtin("admmutate-alt-decoder"), &code));
         // Single transform also matches.
         let code = [0x8a, 0x1e, 0x80, 0xf3, 0x55, 0x88, 0x1e, 0x46, 0xe2, 0xf6];
-        assert!(matches(&templates::admmutate_alt_decoder(), &code));
+        assert!(matches(&builtin("admmutate-alt-decoder"), &code));
     }
 
     /// The alternate decoder does NOT match the plain-xor template and
@@ -602,9 +606,9 @@ mod tests {
         let alt = [
             0x8a, 0x1e, 0x80, 0xcb, 0xa0, 0xf6, 0xd3, 0x88, 0x1e, 0x46, 0xe2, 0xf4,
         ];
-        assert!(!matches(&templates::xor_decrypt_loop(), &alt));
+        assert!(!matches(&builtin("xor-decrypt-loop"), &alt));
         let plain = [0x80, 0x30, 0x95, 0x40, 0xe2, 0xfa];
-        assert!(!matches(&templates::admmutate_alt_decoder(), &plain));
+        assert!(!matches(&builtin("admmutate-alt-decoder"), &plain));
     }
 
     /// Benign loops must not match: a memcpy-style loop writes memory but
@@ -618,8 +622,8 @@ mod tests {
             0x47, // inc edi
             0xe2, 0xf8, // loop
         ];
-        assert!(!matches(&templates::xor_decrypt_loop(), &code));
-        assert!(!matches(&templates::admmutate_alt_decoder(), &code));
+        assert!(!matches(&builtin("xor-decrypt-loop"), &code));
+        assert!(!matches(&builtin("admmutate-alt-decoder"), &code));
     }
 
     /// A zeroing loop (stosb-style init) must not match: no load precedes
@@ -631,8 +635,8 @@ mod tests {
             0x40, // inc eax
             0xe2, 0xfa, // loop
         ];
-        assert!(!matches(&templates::xor_decrypt_loop(), &code));
-        assert!(!matches(&templates::admmutate_alt_decoder(), &code));
+        assert!(!matches(&builtin("xor-decrypt-loop"), &code));
+        assert!(!matches(&builtin("admmutate-alt-decoder"), &code));
     }
 
     /// Shell-spawning: the classic inert execve("/bin//sh") body.
@@ -651,7 +655,7 @@ mod tests {
             0xb0, 0x0b, // mov al, 0x0b
             0xcd, 0x80, // int 0x80
         ];
-        assert!(matches(&templates::linux_shell_spawn(), &code));
+        assert!(matches(&builtin("linux-shell-spawn"), &code));
     }
 
     /// Shell-spawn with the syscall number built arithmetically
@@ -667,7 +671,7 @@ mod tests {
             0x83, 0xc0, 0x06, // add eax, 6 (eax = 0xb)
             0xcd, 0x80, // int 0x80
         ];
-        assert!(matches(&templates::linux_shell_spawn(), &code));
+        assert!(matches(&builtin("linux-shell-spawn"), &code));
     }
 
     /// An int 0x80 with a different syscall number must not match execve.
@@ -678,7 +682,7 @@ mod tests {
             0xb8, 0x04, 0, 0, 0, // mov eax, 4 (write)
             0xcd, 0x80,
         ];
-        assert!(!matches(&templates::linux_shell_spawn(), &code));
+        assert!(!matches(&builtin("linux-shell-spawn"), &code));
     }
 
     /// Budget exhaustion returns cleanly.
@@ -688,7 +692,7 @@ mod tests {
         let trace = trace_from(&code, 0, 4096);
         let mut tiny = 1usize;
         // With a one-step budget the search gives up without panicking.
-        let _ = match_template(&trace, &templates::xor_decrypt_loop(), &mut tiny);
+        let _ = match_template(&trace, &builtin("xor-decrypt-loop"), &mut tiny);
     }
 
     /// Matched offsets are reported in order and within the buffer.
@@ -697,7 +701,7 @@ mod tests {
         let code = [0x80, 0x30, 0x95, 0x40, 0xe2, 0xfa];
         let trace = trace_from(&code, 0, 4096);
         let mut budget = DEFAULT_BUDGET;
-        let m = match_template(&trace, &templates::xor_decrypt_loop(), &mut budget).unwrap();
+        let m = match_template(&trace, &builtin("xor-decrypt-loop"), &mut budget).unwrap();
         assert_eq!(m.start_offset(&trace), 0);
         assert_eq!(m.end_offset(&trace), 6);
         assert_eq!(m.matched.len(), 3);

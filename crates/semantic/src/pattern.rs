@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn pretty_prints_figure_style() {
-        let t = crate::templates::xor_decrypt_loop();
+        let t = crate::templates::builtin("xor-decrypt-loop").unwrap();
         let p = t.pretty();
         assert!(p.contains("mem[X]"), "{p}");
         assert!(p.contains("loop back"), "{p}");

@@ -361,6 +361,10 @@ mod tests {
     use snids_ir::dataflow::{analyze, DataflowBudget};
     use snids_ir::trace_from;
 
+    fn builtin(name: &str) -> Template {
+        templates::builtin(name).unwrap()
+    }
+
     fn slice_match(tmpl: &Template, code: &[u8]) -> Option<TemplateMatch> {
         let rule = compile_slice(tmpl)?;
         let trace = trace_from(code, 0, 4096);
@@ -381,7 +385,7 @@ mod tests {
             0x46, // inc esi
             0x0f, 0xff, // bad bytes where the loop used to be
         ];
-        let m = slice_match(&templates::xor_decrypt_loop(), &code).expect("slice must recover");
+        let m = slice_match(&builtin("xor-decrypt-loop"), &code).expect("slice must recover");
         assert_eq!(m.template, "xor-decrypt-loop");
         assert_eq!(m.bound_regs[0], (0, "esi".to_string()));
         assert_eq!(m.consts, vec![(0, 0x7a)]);
@@ -400,7 +404,7 @@ mod tests {
             0x80, 0x36, 0x55, // xor byte [esi], 0x55
             0x46, // inc esi
         ];
-        assert!(slice_match(&templates::xor_decrypt_loop(), &code).is_some());
+        assert!(slice_match(&builtin("xor-decrypt-loop"), &code).is_some());
     }
 
     /// The alternate load/transform/store body with its loop close gone.
@@ -414,7 +418,7 @@ mod tests {
             0x88, 0x1e, // mov [esi], bl
             0x46, // inc esi
         ];
-        let m = slice_match(&templates::admmutate_alt_decoder(), &code).expect("alt slice");
+        let m = slice_match(&builtin("admmutate-alt-decoder"), &code).expect("alt slice");
         assert_eq!(m.bound_regs.len(), 2);
         assert_eq!(m.bound_regs[1], (1, "ebx".to_string()));
     }
@@ -428,7 +432,7 @@ mod tests {
             0x80, 0x36, 0x7a, // xor byte [esi], 0x7a
             0x46, // inc esi
         ];
-        assert!(slice_match(&templates::xor_decrypt_loop(), &code).is_none());
+        assert!(slice_match(&builtin("xor-decrypt-loop"), &code).is_none());
     }
 
     /// An unknown, never-materialized pointer is rejected.
@@ -439,7 +443,7 @@ mod tests {
             0x80, 0x36, 0x7a, // xor byte [esi], 0x7a  (esi from nowhere)
             0x46, // inc esi
         ];
-        assert!(slice_match(&templates::xor_decrypt_loop(), &code).is_none());
+        assert!(slice_match(&builtin("xor-decrypt-loop"), &code).is_none());
     }
 
     /// Benign payloads stay silent through the slice path.
@@ -471,11 +475,11 @@ mod tests {
     /// Only decoder-shaped templates compile to slice rules.
     #[test]
     fn behaviour_templates_do_not_compile() {
-        assert!(compile_slice(&templates::linux_shell_spawn()).is_none());
-        assert!(compile_slice(&templates::bind_shell()).is_none());
-        assert!(compile_slice(&templates::code_red_ii()).is_none());
-        assert!(compile_slice(&templates::xor_decrypt_loop()).is_some());
-        assert!(compile_slice(&templates::admmutate_alt_decoder()).is_some());
-        assert!(compile_slice(&templates::admmutate_alt_decoder_advance_first()).is_some());
+        assert!(compile_slice(&builtin("linux-shell-spawn")).is_none());
+        assert!(compile_slice(&builtin("bind-shell")).is_none());
+        assert!(compile_slice(&builtin("code-red-ii")).is_none());
+        assert!(compile_slice(&builtin("xor-decrypt-loop")).is_some());
+        assert!(compile_slice(&builtin("admmutate-alt-decoder")).is_some());
+        assert!(compile_slice(&builtin("admmutate-alt-decoder/advance-first")).is_some());
     }
 }

@@ -1,370 +1,33 @@
-//! The built-in template library.
+//! The built-in template library: the nine behaviours the paper's
+//! evaluation exercises, written in the operator DSL ([`crate::dsl`]) in
+//! `builtin.tmpl` next to this module, which says what each one is.
 //!
-//! These are the behaviours the paper's evaluation exercises:
-//!
-//! * Figures 1/2: the polymorphic **decryption loop** (two orderings),
-//! * Figure 7: the **alternate ADMmutate decoder** (load / or-and-not
-//!   transform / store),
-//! * Figure 6: **Linux shell spawning** (execve of `/bin/sh`), with the
-//!   port-binding extension,
-//! * §5.3: the **Code Red II** initial exploitation vector.
+//! The text is parsed once per process; every call hands out a clone.
 
-use crate::pattern::{PatOp, PatValue, Severity, Template, VarId, XformOp};
-use snids_ir::BinKind;
+use crate::dsl;
+use crate::pattern::Template;
+use std::sync::OnceLock;
 
-/// Little-endian dword constants for the strings shellcode materializes.
-pub mod consts {
-    /// `"/bin"`.
-    pub const SLASH_BIN: u32 = 0x6e69_622f;
-    /// `"//sh"`.
-    pub const SLASH_SLASH_SH: u32 = 0x6873_2f2f;
-    /// `"/sh\0"`.
-    pub const SLASH_SH_NUL: u32 = 0x0068_732f;
-    /// `"bin/"` (split-push variants).
-    pub const BIN_SLASH: u32 = 0x2f6e_6962;
-    /// `"/bash" tail "ash\0"` — bash spawners.
-    pub const ASH_NUL: u32 = 0x0068_7361;
-
-    /// All execve-path fragments the shell template accepts.
-    pub const SHELL_PATH_FRAGMENTS: [u32; 5] =
-        [SLASH_BIN, SLASH_SLASH_SH, SLASH_SH_NUL, BIN_SLASH, ASH_NUL];
-
-    /// Linux syscall numbers.
-    pub const SYS_EXECVE: u32 = 0x0b;
-    /// `socketcall` — the 2.x multiplexer bind shells use.
-    pub const SYS_SOCKETCALL: u32 = 0x66;
-    /// `dup2` — used to wire the socket to stdin/stdout before execve.
-    pub const SYS_DUP2: u32 = 0x3f;
-
-    /// `socketcall` subcodes (`net/socket.c`).
-    pub const SOCKOP_SOCKET: u32 = 1;
-    /// `bind`.
-    pub const SOCKOP_BIND: u32 = 2;
-    /// `connect`.
-    pub const SOCKOP_CONNECT: u32 = 3;
-
-    /// SMTP verbs as little-endian dwords (`"HELO"`, `"MAIL"`, `"RCPT"`,
-    /// `"DATA"`, `"EHLO"`) — what an embedded mail engine materializes.
-    pub const SMTP_VERBS: [u32; 5] = [
-        0x4f4c_4548, // HELO
-        0x4c49_414d, // MAIL
-        0x5450_4352, // RCPT
-        0x4154_4144, // DATA
-        0x4f4c_4845, // EHLO
-    ];
-
-    /// Code Red II jumps through msvcrt.dll thunks at `0x7801xxxx`.
-    pub const CRII_ADDR_LO: u32 = 0x7801_0000;
-    /// Upper bound of the Code Red II address window.
-    pub const CRII_ADDR_HI: u32 = 0x7801_ffff;
+fn parsed() -> &'static [Template] {
+    static BUILTINS: OnceLock<Vec<Template>> = OnceLock::new();
+    BUILTINS.get_or_init(|| dsl::parse(include_str!("builtin.tmpl")).expect("builtin.tmpl parses"))
 }
 
-/// In-place transform operators a one-instruction decoder body may use:
-/// XOR and ADD (`sub` canonicalizes to `add`). The destructive `and`/`or`
-/// and the rotate forms appear only in the load/store alternate scheme —
-/// keeping this set tight is what holds the false-positive rate at zero on
-/// high-entropy benign payloads (random bytes produce `rol mem` gadgets
-/// far more often than `xor mem` + advance + counter-loop triples).
-fn decoder_store_ops() -> Vec<BinKind> {
-    vec![BinKind::Xor, BinKind::Add]
-}
-
-/// Transform set for the alternate decoder's register pipeline.
-fn alt_xform_ops() -> Vec<XformOp> {
-    vec![
-        XformOp::Bin(BinKind::Or),
-        XformOp::Bin(BinKind::And),
-        XformOp::Bin(BinKind::Xor),
-        XformOp::Bin(BinKind::Add),
-        XformOp::Bin(BinKind::Rol),
-        XformOp::Bin(BinKind::Ror),
-        XformOp::Bin(BinKind::Shl),
-        XformOp::Bin(BinKind::Shr),
-        XformOp::Not,
-        XformOp::Neg,
-    ]
-}
-
-/// The polymorphic decryption loop, write-then-advance ordering
-/// (paper Figures 1, 2; the primary test of `[5]`).
-pub fn xor_decrypt_loop() -> Template {
-    Template {
-        name: "xor-decrypt-loop",
-        description: "self-decryption loop: in-place transform of [X], pointer advance, loop back",
-        ops: vec![
-            PatOp::StoreXform {
-                ops: decoder_store_ops(),
-                addr: VarId(0),
-                src: PatValue::Any,
-            },
-            PatOp::Advance { addr: VarId(0) },
-            PatOp::LoopBack,
-        ],
-        severity: Severity::High,
-        max_gap: Some(8),
-    }
-}
-
-/// The same behaviour with the pointer advanced before the write
-/// (`inc X; xor [X], k; loop`).
-pub fn xor_decrypt_loop_advance_first() -> Template {
-    Template {
-        name: "xor-decrypt-loop/advance-first",
-        description: "self-decryption loop, advance-before-write ordering",
-        ops: vec![
-            PatOp::Advance { addr: VarId(0) },
-            PatOp::StoreXform {
-                ops: decoder_store_ops(),
-                addr: VarId(0),
-                src: PatValue::Any,
-            },
-            PatOp::LoopBack,
-        ],
-        severity: Severity::High,
-        max_gap: Some(8),
-    }
-}
-
-/// The alternate ADMmutate decoder (paper Figure 7): a sequence of mov,
-/// or, and, not instructions on a single memory location / register pair.
-pub fn admmutate_alt_decoder() -> Template {
-    Template {
-        name: "admmutate-alt-decoder",
-        description: "load/transform/store decoder: R <- [X]; or/and/not R; [X] <- R; loop",
-        ops: vec![
-            PatOp::LoadFrom {
-                dst: VarId(1),
-                addr: VarId(0),
-            },
-            PatOp::XformMany {
-                ops: alt_xform_ops(),
-                dst: VarId(1),
-            },
-            PatOp::StoreTo {
-                addr: VarId(0),
-                src: VarId(1),
-            },
-            PatOp::Advance { addr: VarId(0) },
-            PatOp::LoopBack,
-        ],
-        severity: Severity::High,
-        max_gap: Some(8),
-    }
-}
-
-/// The alternate decoder with the pointer advanced before the load.
-pub fn admmutate_alt_decoder_advance_first() -> Template {
-    Template {
-        name: "admmutate-alt-decoder/advance-first",
-        description: "load/transform/store decoder, advance-before-load ordering",
-        ops: vec![
-            PatOp::Advance { addr: VarId(0) },
-            PatOp::LoadFrom {
-                dst: VarId(1),
-                addr: VarId(0),
-            },
-            PatOp::XformMany {
-                ops: alt_xform_ops(),
-                dst: VarId(1),
-            },
-            PatOp::StoreTo {
-                addr: VarId(0),
-                src: VarId(1),
-            },
-            PatOp::LoopBack,
-        ],
-        severity: Severity::High,
-        max_gap: Some(8),
-    }
-}
-
-/// Linux shell spawning (paper Figure 6): the code materializes an
-/// execve path (`/bin//sh` in any of its spellings) and reaches
-/// `int 0x80` with `EAX = 11` (execve).
-pub fn linux_shell_spawn() -> Template {
-    Template {
-        name: "linux-shell-spawn",
-        description: "execve of a /bin shell via int 0x80",
-        ops: vec![
-            PatOp::SrcConstIn(consts::SHELL_PATH_FRAGMENTS.to_vec()),
-            PatOp::SrcConstIn(consts::SHELL_PATH_FRAGMENTS.to_vec()),
-            PatOp::Syscall {
-                vector: 0x80,
-                eax: Some(consts::SYS_EXECVE),
-                ebx: None,
-            },
-        ],
-        severity: Severity::High,
-        max_gap: None,
-    }
-}
-
-/// The port-binding extension of the shell template (paper §5.1: "those
-/// that are bound to a separate network port are also noted as such"):
-/// socketcall(SOCKET) then socketcall(BIND) before the execve.
-pub fn bind_shell() -> Template {
-    Template {
-        name: "bind-shell",
-        description: "socket + bind via socketcall preceding an execve shell",
-        ops: vec![
-            PatOp::Syscall {
-                vector: 0x80,
-                eax: Some(consts::SYS_SOCKETCALL),
-                ebx: Some(consts::SOCKOP_SOCKET),
-            },
-            PatOp::Syscall {
-                vector: 0x80,
-                eax: Some(consts::SYS_SOCKETCALL),
-                ebx: Some(consts::SOCKOP_BIND),
-            },
-            PatOp::Syscall {
-                vector: 0x80,
-                eax: Some(consts::SYS_EXECVE),
-                ebx: None,
-            },
-        ],
-        severity: Severity::High,
-        max_gap: None,
-    }
-}
-
-/// A connect-back (reverse) shell: socketcall(SOCKET) then
-/// socketcall(CONNECT) before the execve. One of the paper's proposed
-/// "additional useful templates" (§6 future work).
-pub fn reverse_shell() -> Template {
-    Template {
-        name: "reverse-shell",
-        description: "socket + connect via socketcall preceding an execve shell",
-        ops: vec![
-            PatOp::Syscall {
-                vector: 0x80,
-                eax: Some(consts::SYS_SOCKETCALL),
-                ebx: Some(consts::SOCKOP_SOCKET),
-            },
-            PatOp::Syscall {
-                vector: 0x80,
-                eax: Some(consts::SYS_SOCKETCALL),
-                ebx: Some(consts::SOCKOP_CONNECT),
-            },
-            PatOp::Syscall {
-                vector: 0x80,
-                eax: Some(consts::SYS_EXECVE),
-                ebx: None,
-            },
-        ],
-        severity: Severity::High,
-        max_gap: None,
-    }
-}
-
-/// SMTP self-propagation (the paper's §6 example of a future template:
-/// "additional families of malicious traffic (i.e. email worms)"): the
-/// code materializes SMTP verbs (`HELO`/`MAIL`/`RCPT` as immediates) and
-/// drives a socket through `socketcall(CONNECT)` — a mail client embedded
-/// in a binary payload.
-pub fn smtp_propagation() -> Template {
-    Template {
-        name: "smtp-propagation",
-        description: "embedded SMTP engine: mail-verb constants plus socketcall(connect)",
-        ops: vec![
-            PatOp::Syscall {
-                vector: 0x80,
-                eax: Some(consts::SYS_SOCKETCALL),
-                ebx: Some(consts::SOCKOP_CONNECT),
-            },
-            PatOp::SrcConstIn(consts::SMTP_VERBS.to_vec()),
-            PatOp::SrcConstIn(consts::SMTP_VERBS.to_vec()),
-        ],
-        severity: Severity::High,
-        max_gap: None,
-    }
-}
-
-/// The Code Red II initial exploitation vector (paper §5.3): control
-/// transfers through the msvcrt.dll window at `0x7801xxxx`, referenced
-/// twice by the overwrite.
-pub fn code_red_ii() -> Template {
-    Template {
-        name: "code-red-ii",
-        description: "Code Red II exploitation vector: repeated msvcrt 0x7801xxxx addressing",
-        ops: vec![
-            PatOp::AddrInRange {
-                lo: consts::CRII_ADDR_LO,
-                hi: consts::CRII_ADDR_HI,
-            },
-            PatOp::AddrInRange {
-                lo: consts::CRII_ADDR_LO,
-                hi: consts::CRII_ADDR_HI,
-            },
-        ],
-        severity: Severity::High,
-        max_gap: Some(32),
-    }
-}
-
-/// The full default template set the NIDS ships with.
+/// The full default template set the NIDS ships with, in file order.
 pub fn default_templates() -> Vec<Template> {
-    vec![
-        xor_decrypt_loop(),
-        xor_decrypt_loop_advance_first(),
-        admmutate_alt_decoder(),
-        admmutate_alt_decoder_advance_first(),
-        linux_shell_spawn(),
-        bind_shell(),
-        reverse_shell(),
-        smtp_propagation(),
-        code_red_ii(),
-    ]
+    parsed().to_vec()
 }
 
 /// The reduced set used for the first ADMmutate run in Table 2 (before the
 /// Figure-7 template was written): decryption-loop templates only.
 pub fn xor_only_templates() -> Vec<Template> {
-    vec![xor_decrypt_loop(), xor_decrypt_loop_advance_first()]
+    ["xor-decrypt-loop", "xor-decrypt-loop/advance-first"]
+        .into_iter()
+        .filter_map(builtin)
+        .collect()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_is_well_formed() {
-        let ts = default_templates();
-        assert_eq!(ts.len(), 9);
-        let mut names: Vec<_> = ts.iter().map(|t| t.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 9, "template names must be unique");
-        for t in &ts {
-            assert!(!t.is_empty());
-            assert!(t.len() >= 2, "{} too weak", t.name);
-            assert!(!t.description.is_empty());
-        }
-    }
-
-    #[test]
-    fn xor_only_is_a_strict_subset() {
-        let sub = xor_only_templates();
-        let full = default_templates();
-        for t in &sub {
-            assert!(full.iter().any(|f| f.name == t.name));
-        }
-        assert!(sub.len() < full.len());
-    }
-
-    #[test]
-    fn shell_fragments_spell_the_strings() {
-        assert_eq!(&consts::SLASH_BIN.to_le_bytes(), b"/bin");
-        assert_eq!(&consts::SLASH_SLASH_SH.to_le_bytes(), b"//sh");
-        assert_eq!(&consts::SLASH_SH_NUL.to_le_bytes(), b"/sh\0");
-    }
-
-    #[test]
-    fn pretty_renders_each_template() {
-        for t in default_templates() {
-            let p = t.pretty();
-            assert!(p.contains(t.name));
-            assert!(p.lines().count() >= 3);
-        }
-    }
+/// The built-in template called `name`, if there is one.
+pub fn builtin(name: &str) -> Option<Template> {
+    parsed().iter().find(|t| t.name == name).cloned()
 }

@@ -44,7 +44,7 @@ fn figure_1c() -> Vec<u8> {
 }
 
 fn main() {
-    let template = templates::xor_decrypt_loop();
+    let template = templates::builtin("xor-decrypt-loop").expect("built-in template");
     println!("=== the behavioural template (paper Figure 2 style) ===\n");
     println!("{}", template.pretty());
 

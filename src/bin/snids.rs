@@ -210,6 +210,15 @@ fn analyze(args: &[String]) -> ExitCode {
         };
         match snids::semantic::parse_templates(&text) {
             Ok(ts) => {
+                // Alerts dedup on the template name, so a second template
+                // under a loaded name would merge into the first.
+                if let Some(t) = ts
+                    .iter()
+                    .find(|t| config.templates.iter().any(|c| c.name == t.name))
+                {
+                    eprintln!("{path}: template `{}` is already loaded", t.name);
+                    return ExitCode::from(2);
+                }
                 eprintln!("loaded {} template(s) from {path}", ts.len());
                 config.templates.extend(ts);
             }

@@ -118,6 +118,36 @@ fn unknown_flags_are_usage_errors() {
 }
 
 #[test]
+fn analyze_rejects_a_template_name_already_loaded() {
+    let dir = scratch("templates");
+    let write = |name: &str, text: &str| {
+        let p = dir.join(name);
+        std::fs::write(&p, text).expect("template file");
+        p.to_str().expect("utf-8 path").to_string()
+    };
+    let clash = write(
+        "clash.tmpl",
+        "template bind-shell\n  syscall 0x80 eax=0xb\n",
+    );
+    let mine = write("mine.tmpl", "template my-shell\n  syscall 0x80 eax=0xb\n");
+    // Checked before the capture is opened, so none is needed.
+    for (args, name) in [
+        (vec![clash.as_str()], "bind-shell"),
+        (vec![mine.as_str(), mine.as_str()], "my-shell"),
+    ] {
+        let mut argv = vec!["analyze", "missing.pcap"];
+        for path in args {
+            argv.extend_from_slice(&["--templates", path]);
+        }
+        assert_usage_error(
+            &snids(&argv),
+            &format!("template `{name}` is already loaded"),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn metrics_listen_ends_with_the_replay() {
     let dir = scratch("listen");
     let pcap = dir.join("c.pcap");
