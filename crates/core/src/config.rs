@@ -55,9 +55,6 @@ pub struct NidsConfig {
     /// When false, instrumentation reduces to one relaxed atomic load per
     /// event.
     pub observability: bool,
-    /// Flight-recorder ring capacity, in events (only meaningful when
-    /// `observability` is on).
-    pub flight_recorder_capacity: usize,
     /// When the dataflow second pass runs on a flow's frames: `Off`
     /// (never — seed behavior), `NearMiss` (the default: only when the
     /// instruction-run matcher stayed silent *and* the flow carried
@@ -113,7 +110,6 @@ impl Default for NidsConfig {
             verify_checksums: true,
             max_frame_bytes: 1 << 20,
             observability: obs_env_default(),
-            flight_recorder_capacity: snids_obs::DEFAULT_RECORDER_CAPACITY,
             dataflow: DataflowMode::default(),
             memory_budget: 0,
             analyze_on_evict: true,
@@ -135,7 +131,6 @@ mod tests {
         assert!(c.chaos_analysis_panic_marker.is_none());
         assert!(c.verify_checksums);
         assert!(c.max_frame_bytes >= 64 * 1024);
-        assert_eq!(c.flight_recorder_capacity, 1024);
         assert_eq!(c.templates.len(), 9);
         assert_eq!(c.dark_threshold, 5);
         // Dataflow second pass fires only on near-miss flows by default:

@@ -8,7 +8,7 @@
 //! flight-recorder dumps exist once.
 
 use crate::stats::DropReason;
-use crate::{flow_latency_id, record_event, Alert, NidsConfig};
+use crate::{record_event, Alert, NidsConfig};
 use snids_flow::{FlowKey, FlowTable, MemoryBudget, ShedFlow};
 use snids_obs::{EventKind, Obs, Stage};
 use snids_packet::Packet;
@@ -27,17 +27,6 @@ pub(crate) struct FrontCounters {
     pub(crate) reassembly_nanos: u64,
 }
 
-/// What tracking one packet leaves for the driver to act on.
-#[derive(Default)]
-pub(crate) struct Tracked {
-    /// Victims the governor shed under pressure, streams intact, for
-    /// analyze-on-evict.
-    pub(crate) shed: Vec<ShedFlow>,
-    /// A flow evicted without analysis (analyze-on-evict off): the end
-    /// of its story, which the driver dumps from the flight recorder.
-    pub(crate) evicted: Option<FlowKey>,
-}
-
 /// The pre-filter, the flow table and the counters they feed.
 pub(crate) struct FrontHalf {
     prefilter: Option<Prefilter>,
@@ -45,7 +34,6 @@ pub(crate) struct FrontHalf {
     /// [`FlowTable::drain`].
     pub(crate) flows: FlowTable,
     obs: Obs,
-    analyze_on_evict: bool,
     pub(crate) counters: FrontCounters,
 }
 
@@ -54,9 +42,9 @@ impl FrontHalf {
     /// which it shares with the defragmenter.
     pub(crate) fn new(config: &NidsConfig, budget: Arc<MemoryBudget>, obs: Obs) -> Self {
         let mut flow_config = config.flow_table.clone();
-        // The pipeline owns the analyze-on-evict decision: the table hands
-        // victims back exactly when the driver will analyze them.
-        flow_config.hand_off_shed = config.analyze_on_evict;
+        // Every victim comes back to the driver, which decides between
+        // analyze-on-evict and account-and-discard.
+        flow_config.hand_off_shed = true;
         FrontHalf {
             prefilter: config.prefilter.then(|| {
                 Prefilter::new(PrefilterConfig::deployment_rules(
@@ -66,15 +54,16 @@ impl FrontHalf {
             }),
             flows: FlowTable::with_budget(flow_config, budget),
             obs,
-            analyze_on_evict: config.analyze_on_evict,
             counters: FrontCounters::default(),
         }
     }
 
     /// Gate one classified-suspicious packet through the pre-filter and,
-    /// when it passes, fold it into its flow.
-    pub(crate) fn track(&mut self, packet: &Packet) -> Tracked {
+    /// when it passes, fold it into its flow. Returns the victims the
+    /// table shed to make room, streams intact, for the driver.
+    pub(crate) fn track(&mut self, packet: &Packet) -> Vec<ShedFlow> {
         let observing = self.obs.enabled();
+        let mut prefilter_nanos = 0;
         // Pre-filter fast path: suspicious packets no lane escalates skip
         // reassembly and the analysis tail entirely. Flows already holding
         // payload stay open-ended (a mid-analysis flow must see its tail).
@@ -86,7 +75,7 @@ impl FrontHalf {
                 .and_then(|k| self.flows.get(k))
                 .is_some_and(|f| f.payload_bytes > 0);
             let decision = pf.decide(packet, flow_buffered);
-            let prefilter_nanos = t_pf.elapsed().as_nanos() as u64;
+            prefilter_nanos = t_pf.elapsed().as_nanos() as u64;
             self.counters.prefilter_nanos += prefilter_nanos;
             if observing {
                 self.obs.record_stage(
@@ -94,10 +83,6 @@ impl FrontHalf {
                     prefilter_nanos,
                     packet.payload().len() as u64,
                 );
-                if let Some(k) = key.as_ref() {
-                    self.obs
-                        .flow_charge(flow_latency_id(k), Stage::Prefilter, prefilter_nanos);
-                }
             }
             match decision {
                 Decision::Escalate(Lane::Sticky) => self.counters.prefilter_escalated += 1,
@@ -113,8 +98,11 @@ impl FrontHalf {
                             packet.payload().len() as u64,
                             Some(DropReason::PrefilterRejected),
                         );
+                        if let Some(k) = key.as_ref() {
+                            self.flows.add_front_nanos(k, prefilter_nanos, 0);
+                        }
                     }
-                    return Tracked::default();
+                    return Vec::new();
                 }
             }
         }
@@ -122,9 +110,6 @@ impl FrontHalf {
         let outcome = self.flows.process_tracked(packet);
         let reassembly_nanos = t1.elapsed().as_nanos() as u64;
         self.counters.reassembly_nanos += reassembly_nanos;
-        // With analyze-on-evict the victim arrives in `shed` instead, and
-        // its events come from the driver under the shed_analyzed reason.
-        let evicted = outcome.evicted.filter(|_| !self.analyze_on_evict);
         if observing {
             self.obs.record_stage(
                 Stage::Reassembly,
@@ -132,8 +117,8 @@ impl FrontHalf {
                 outcome.segment_bytes as u64,
             );
             if let Some(k) = outcome.key.as_ref() {
-                self.obs
-                    .flow_charge(flow_latency_id(k), Stage::Reassembly, reassembly_nanos);
+                self.flows
+                    .add_front_nanos(k, prefilter_nanos, reassembly_nanos);
             }
             // The flight recorder tracks suspicious (tracked) traffic:
             // only those flows can later alert or be dropped with a trail
@@ -147,20 +132,6 @@ impl FrontHalf {
                 outcome.segment_bytes as u64,
                 None,
             );
-            if let Some(victim) = evicted.as_ref() {
-                record_event(
-                    &self.obs,
-                    Stage::Reassembly,
-                    EventKind::Drop,
-                    Some(victim),
-                    0,
-                    Some(DropReason::FlowEvicted),
-                );
-                // Settle the victim's latency trail under the dropped
-                // outcome before the driver dumps it, so the dump carries it.
-                self.obs
-                    .flow_settle(&flow_latency_id(victim), snids_obs::FlowOutcome::Dropped);
-            }
             if outcome.conflict_bytes > 0 {
                 record_event(
                     &self.obs,
@@ -182,10 +153,7 @@ impl FrontHalf {
                 );
             }
         }
-        Tracked {
-            shed: self.flows.take_shed(),
-            evicted,
-        }
+        self.flows.take_shed()
     }
 
     /// Pin alerting sources' flows in the protection tier.

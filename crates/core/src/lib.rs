@@ -39,13 +39,14 @@ pub use config::NidsConfig;
 pub use snids_semantic::DataflowMode;
 pub use stats::{DropCounters, DropReason, PipelineStats};
 
-use front::{FrontHalf, Tracked};
+use front::FrontHalf;
 use snids_classify::{DarkSpaceMonitor, HoneypotRegistry, Subnet, TrafficClassifier};
 use snids_extract::BinaryExtractor;
 use snids_flow::{
     DefragDrop, DefragOutcome, Defragmenter, Flow, FlowKey, MemoryBudget, PressureLevel, ShedCause,
     ShedFlow,
 };
+use snids_obs::flowlat::TRAIL_STAGES;
 use snids_obs::{Event, EventKind, Obs, Stage};
 use snids_packet::{Ipv4Header, Packet, TcpHeader, ETHERNET_HEADER_LEN};
 use snids_semantic::{Analyzer, TemplateMatch};
@@ -88,6 +89,9 @@ pub struct Nids {
     /// The resource governor's shared byte accounting: the flow table and
     /// the defragmenter charge their buffered bytes here.
     budget: Arc<MemoryBudget>,
+    /// Analyze shed victims on the way out rather than account and
+    /// discard them.
+    analyze_on_evict: bool,
     /// Victims analyzed on the way out (total, and the subset shed by the
     /// byte budget rather than the count cap) — the core's share of the
     /// shed ledger split.
@@ -159,9 +163,23 @@ fn flow_latency_id(key: &FlowKey) -> snids_obs::FlowId {
     }
 }
 
+/// A flow's latency trail as far as the front half took it: its
+/// pre-filter and reassembly time, carried on the flow record.
+fn front_trail(flow: &Flow) -> [u64; TRAIL_STAGES] {
+    let mut trail = [0; TRAIL_STAGES];
+    trail[Stage::Prefilter as usize] = flow.prefilter_nanos;
+    trail[Stage::Reassembly as usize] = flow.reassembly_nanos;
+    trail
+}
+
 /// The `(src, dst, dst_port)` a flight dump is keyed by.
 fn dump_id(e: &Event) -> (u32, u32, u16) {
     (e.src, e.dst, e.dst_port)
+}
+
+/// [`dump_id`] of a flow key.
+fn key_dump_id(k: &FlowKey) -> (u32, u32, u16) {
+    (u32::from(k.src), u32::from(k.dst), k.dst_port)
 }
 
 /// Render one flight-recorder event for a dump.
@@ -269,7 +287,7 @@ impl Nids {
         };
         let budget = Arc::new(MemoryBudget::limited(config.memory_budget));
         let obs = if config.observability {
-            Obs::new(config.flight_recorder_capacity)
+            Obs::new(snids_obs::DEFAULT_RECORDER_CAPACITY)
         } else {
             Obs::disabled()
         };
@@ -296,6 +314,7 @@ impl Nids {
             obs,
             flight_dumps: Vec::new(),
             budget,
+            analyze_on_evict: config.analyze_on_evict,
             shed_analyzed: 0,
             shed_analyzed_budget: 0,
             pending_alerts: Vec::new(),
@@ -411,30 +430,13 @@ impl Nids {
         record_event(&self.obs, stage, kind, key, bytes, reason);
     }
 
-    /// Capture the flight trail for `(src, dst, dst_port)` into the dump
-    /// list (source port intentionally wildcarded: alerts do not carry
-    /// it). No-op beyond [`MAX_FLIGHT_DUMPS`] or when the trail is empty.
-    fn dump_flight(
-        &mut self,
-        why: &str,
-        src: std::net::Ipv4Addr,
-        dst: std::net::Ipv4Addr,
-        dst_port: u16,
-    ) {
-        if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS {
-            return;
-        }
-        let id = (u32::from(src), u32::from(dst), dst_port);
-        let events = self.obs.recorder().events();
-        let trail: Vec<&Event> = events.iter().filter(|e| dump_id(e) == id).collect();
-        self.push_flight_dump(why, id, &trail);
-    }
-
-    /// One `"alert"` dump per distinct `(src, dst, dst_port)`, in alert
+    /// One `why` dump per distinct `(src, dst, dst_port)` in `ids`, in
     /// order, until [`MAX_FLIGHT_DUMPS`] exist — from one copy of the
-    /// flight ring, indexed by flow.
-    fn dump_alert_flights(&mut self, alerts: &[Alert]) {
-        if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS || alerts.is_empty() {
+    /// flight ring, indexed by flow. The source port is wildcarded:
+    /// alerts do not carry it.
+    fn dump_flights(&mut self, why: &str, ids: impl IntoIterator<Item = (u32, u32, u16)>) {
+        let mut ids = ids.into_iter().peekable();
+        if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS || ids.peek().is_none() {
             return;
         }
         let events = self.obs.recorder().events();
@@ -443,14 +445,13 @@ impl Nids {
             trails.entry(dump_id(event)).or_default().push(event);
         }
         let mut dumped = HashSet::new();
-        for alert in alerts {
+        for id in ids {
             if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS {
                 break;
             }
-            let id = (u32::from(alert.src), u32::from(alert.dst), alert.dst_port);
             if dumped.insert(id) {
                 if let Some(trail) = trails.get(&id) {
-                    self.push_flight_dump("alert", id, trail);
+                    self.push_flight_dump(why, id, trail);
                 }
             }
         }
@@ -600,22 +601,37 @@ impl Nids {
         }
     }
 
-    /// Act on what tracking a packet handed back: an unanalyzed eviction
-    /// is the end of that flow's story, so dump its flight trail; shed
-    /// victims go to analyze-on-evict.
-    fn act_on(&mut self, tracked: Tracked) {
-        if let Some(k) = tracked.evicted.filter(|_| self.obs.enabled()) {
-            self.dump_flight("flow_evicted", k.src, k.dst, k.dst_port);
-        }
-        self.handle_shed(tracked.shed);
-    }
-
-    /// Analyze-on-evict: run victims the table shed under pressure through
-    /// the normal analysis path, buffer their alerts for the next
-    /// poll/finish, and feed alerting sources back into the protection
-    /// tier so the governor never evicts a source it has seen attack.
+    /// Act on the victims the table shed under pressure. Analyze-on-evict
+    /// runs them through the normal analysis path, buffers their alerts
+    /// for the next poll/finish, and feeds alerting sources back into the
+    /// protection tier so the governor never evicts a source it has seen
+    /// attack. Otherwise each unanalyzed victim is the end of its flow's
+    /// story: it settles as dropped and its flight trail is dumped.
     fn handle_shed(&mut self, shed: Vec<ShedFlow>) {
         if shed.is_empty() {
+            return;
+        }
+        if !self.analyze_on_evict {
+            if self.obs.enabled() {
+                for s in &shed {
+                    self.obs_event(
+                        Stage::Reassembly,
+                        EventKind::Drop,
+                        Some(&s.flow.key),
+                        0,
+                        Some(DropReason::FlowEvicted),
+                    );
+                    self.obs.flow_settle(
+                        flow_latency_id(&s.flow.key),
+                        snids_obs::FlowOutcome::Dropped,
+                        &front_trail(&s.flow),
+                    );
+                }
+                self.dump_flights(
+                    "flow_evicted",
+                    shed.iter().map(|s| key_dump_id(&s.flow.key)),
+                );
+            }
             return;
         }
         let observing = self.obs.enabled();
@@ -673,8 +689,8 @@ impl Nids {
     /// when its datagram completes) or a packet-level drop counter.
     pub fn process_packet(&mut self, packet: &Packet) {
         if let Ingest::Suspicious(whole) = self.ingest(packet) {
-            let tracked = self.front.track(whole.as_ref().unwrap_or(packet));
-            self.act_on(tracked);
+            let shed = self.front.track(whole.as_ref().unwrap_or(packet));
+            self.handle_shed(shed);
         }
         self.note_pressure();
     }
@@ -844,13 +860,6 @@ impl Nids {
         let alerts = self.finalize_alerts(alerts);
         self.sync_ledger();
         self.note_pressure();
-        if self.obs.enabled() {
-            // Flows that left the pipeline without an analysis verdict
-            // (pre-filter-rejected after a charge, contended settles)
-            // drain under the dropped outcome so the tracked-flow count
-            // balances against the settled histograms.
-            self.obs.flow_settle_all(snids_obs::FlowOutcome::Dropped);
-        }
         // Satellite invariant: every byte charged to the budget by the
         // flow table and the defragmenter was released on drain —
         // accounting cannot drift across runs.
@@ -903,7 +912,9 @@ impl Nids {
         let obs = self.obs.clone();
         let observing = obs.enabled();
 
-        let analyze_one = |flow: &Flow| -> FlowOutcome {
+        // `trail` arrives holding the flow's front-half time; the tail
+        // stages add theirs as they run.
+        let analyze_one = |flow: &Flow, trail: &mut [u64; TRAIL_STAGES]| -> FlowOutcome {
             let t_extract = if observing {
                 Some(Instant::now())
             } else {
@@ -919,7 +930,7 @@ impl Nids {
             if let Some(t) = t_extract {
                 let nanos = t.elapsed().as_nanos() as u64;
                 obs.record_stage(Stage::Extract, nanos, payload.len() as u64);
-                obs.flow_charge(flow_latency_id(&flow.key), Stage::Extract, nanos);
+                trail[Stage::Extract as usize] += nanos;
             }
             let mut out = FlowOutcome {
                 frames: frames.len() as u64,
@@ -938,10 +949,9 @@ impl Nids {
                     obs.record_stage(Stage::Decode, timing.decode_nanos, bytes);
                     obs.record_stage(Stage::IrLift, timing.lift_nanos, bytes);
                     obs.record_stage(Stage::TemplateMatch, timing.match_nanos, bytes);
-                    let id = flow_latency_id(&flow.key);
-                    obs.flow_charge(id, Stage::Decode, timing.decode_nanos);
-                    obs.flow_charge(id, Stage::IrLift, timing.lift_nanos);
-                    obs.flow_charge(id, Stage::TemplateMatch, timing.match_nanos);
+                    trail[Stage::Decode as usize] += timing.decode_nanos;
+                    trail[Stage::IrLift as usize] += timing.lift_nanos;
+                    trail[Stage::TemplateMatch as usize] += timing.match_nanos;
                     analysis
                 } else {
                     analyzer.analyze_frame(data)
@@ -1019,26 +1029,29 @@ impl Nids {
                 if let Some(t) = t_df {
                     let nanos = t.elapsed().as_nanos() as u64;
                     obs.record_stage(Stage::Dataflow, nanos, df_bytes);
-                    obs.flow_charge(flow_latency_id(&flow.key), Stage::Dataflow, nanos);
+                    trail[Stage::Dataflow as usize] += nanos;
                 }
-            }
-            if observing {
-                // The analysis verdict settles this flow's latency trail:
-                // it folds into the (stage × outcome) histogram family and
-                // stays resolvable for flight dumps.
-                let verdict = if out.alerts.is_empty() {
-                    snids_obs::FlowOutcome::Benign
-                } else {
-                    snids_obs::FlowOutcome::Alerted
-                };
-                obs.flow_settle(&flow_latency_id(&flow.key), verdict);
             }
             out
         };
         let run_batch = |batch: &&[Flow]| -> FlowOutcome {
             let mut agg = FlowOutcome::default();
             for flow in batch.iter() {
-                match catch_unwind(AssertUnwindSafe(|| analyze_one(flow))) {
+                let mut trail = front_trail(flow);
+                let result = catch_unwind(AssertUnwindSafe(|| analyze_one(flow, &mut trail)));
+                if observing {
+                    // The verdict settles the flow's latency trail, once:
+                    // it folds into the (stage × outcome) histogram family
+                    // and stays resolvable for flight dumps. A panicked
+                    // flow settles as dropped with the time it had spent.
+                    let verdict = match &result {
+                        Ok(outcome) if outcome.alerts.is_empty() => snids_obs::FlowOutcome::Benign,
+                        Ok(_) => snids_obs::FlowOutcome::Alerted,
+                        Err(_) => snids_obs::FlowOutcome::Dropped,
+                    };
+                    obs.flow_settle(flow_latency_id(&flow.key), verdict, &trail);
+                }
+                match result {
                     Ok(outcome) => agg.absorb(outcome),
                     Err(_) => {
                         agg.panicked += 1;
@@ -1110,14 +1123,11 @@ impl Nids {
                     0,
                     Some(DropReason::AnalysisPanicked),
                 );
-                // The panic ended analysis mid-flow: whatever stage time
-                // was already charged settles as a dropped flow.
-                self.obs
-                    .flow_settle(&flow_latency_id(key), snids_obs::FlowOutcome::Dropped);
             }
-            for key in total.panicked_keys.clone() {
-                self.dump_flight("analysis_panicked", key.src, key.dst, key.dst_port);
-            }
+            self.dump_flights(
+                "analysis_panicked",
+                total.panicked_keys.iter().map(key_dump_id),
+            );
         }
         alerts
     }
@@ -1160,7 +1170,12 @@ impl Nids {
                     reason: 0,
                 });
             }
-            self.dump_alert_flights(&alerts);
+            self.dump_flights(
+                "alert",
+                alerts
+                    .iter()
+                    .map(|a| (u32::from(a.src), u32::from(a.dst), a.dst_port)),
+            );
         }
         alerts
     }
@@ -1696,6 +1711,86 @@ mod tests {
         assert!(alerts.len() > MAX_FLIGHT_DUMPS, "{} alerts", alerts.len());
         assert_eq!(nids.flight_dumps().len(), MAX_FLIGHT_DUMPS);
         assert!(nids.obs().recorder().copies() - before <= 1);
+    }
+
+    /// Panic dumps share the alert dumps' indexed path: however many flows
+    /// panic in one `analyze_flows`, the flight ring is copied at most
+    /// once, and each dump still ends in the flow's dropped trail.
+    #[test]
+    fn panicked_flows_copy_the_flight_ring_at_most_once() {
+        let plan = AddressPlan::default();
+        let marker = b"CHAOS-PANIC-MARKER".to_vec();
+        let mut config = plan_config(&plan);
+        config.observability = true;
+        config.threads = 1;
+        config.chaos_analysis_panic_marker = Some(marker.clone());
+        let mut nids = Nids::new(config);
+        let mut poisoned = marker.clone();
+        poisoned.extend_from_slice(&SCENARIOS[0].build_payload(&mut StdRng::seed_from_u64(13)));
+        for (i, src) in [Ipv4Addr::new(198, 18, 8, 8), Ipv4Addr::new(198, 18, 9, 9)]
+            .into_iter()
+            .enumerate()
+        {
+            let port = 4002 + i as u16;
+            let probe = snids_packet::PacketBuilder::new(src, plan.honeypots[0])
+                .at(100)
+                .tcp_syn(port, 21, 1)
+                .unwrap();
+            nids.process_packet(&probe);
+            for p in tcp_flow_packets(src, plan.web_server, port, 21, &poisoned, 300, 0x43) {
+                nids.process_packet(&p);
+            }
+        }
+        let before = nids.obs().recorder().copies();
+        assert!(nids.finish().is_empty());
+        assert_eq!(nids.stats().drops.get(DropReason::AnalysisPanicked), 2);
+        assert!(nids.obs().recorder().copies() - before <= 1);
+        let dumps = nids.flight_dumps();
+        assert_eq!(dumps.len(), 2, "{dumps:?}");
+        for dump in dumps {
+            assert!(dump.starts_with("flight[analysis_panicked]"), "{dump}");
+            let last = dump.lines().last().unwrap_or_default();
+            assert!(last.starts_with("  stage-nanos[outcome=dropped]"), "{dump}");
+        }
+    }
+
+    /// With analyze-on-evict off, every victim the table hands back is the
+    /// end of its flow: it settles as dropped with its front-half time,
+    /// and its flight dump ends in that trail.
+    #[test]
+    fn unanalyzed_victims_settle_dropped_with_their_front_half_time() {
+        let plan = AddressPlan::default();
+        let mut config = plan_config(&plan);
+        config.observability = true;
+        config.analyze_on_evict = false;
+        config.flow_table.max_flows = 1;
+        let mut nids = Nids::new(config);
+        let scanner = Ipv4Addr::new(198, 18, 7, 7);
+        for port in [1000u16, 1001, 1002] {
+            let probe = snids_packet::PacketBuilder::new(scanner, plan.honeypots[0])
+                .at(100 + u64::from(port))
+                .tcp_syn(4000 + port, port, 1)
+                .unwrap();
+            nids.process_packet(&probe);
+        }
+        nids.finish();
+        let snap = nids.obs_snapshot();
+        assert_eq!(snap.flow_tracked, 3, "two victims and one analyzed flow");
+        let dropped = |stage| {
+            snap.flow_latency
+                .iter()
+                .find(|f| f.stage == stage && f.outcome == snids_obs::FlowOutcome::Dropped)
+                .map_or(0, |f| f.count)
+        };
+        assert_eq!(dropped(Stage::Reassembly), 2);
+        assert_eq!(dropped(Stage::Prefilter), 2);
+        let dumps = nids.flight_dumps();
+        assert_eq!(dumps.len(), 2, "{dumps:?}");
+        for dump in dumps {
+            assert!(dump.starts_with("flight[flow_evicted]"), "{dump}");
+            let last = dump.lines().last().unwrap_or_default();
+            assert!(last.starts_with("  stage-nanos[outcome=dropped]"), "{dump}");
+        }
     }
 
     /// When observability is off (the default), no stage events accrue and

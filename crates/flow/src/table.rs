@@ -37,7 +37,8 @@ pub struct FlowTableConfig {
     /// flows also retain no divergent-overlap shadows.
     pub degraded_stream_bytes: usize,
     /// When true, shed victims are queued for [`FlowTable::take_shed`]
-    /// instead of discarded — analyze-on-evict. When false (the seed
+    /// instead of discarded, so the caller decides their fate
+    /// (analyze-on-evict, or account and discard). When false (the seed
     /// behavior), a shed flow's unanalyzed state is dropped.
     pub hand_off_shed: bool,
     /// When true, flows carrying evasion signals (divergent overlaps,
@@ -78,6 +79,12 @@ pub struct Flow {
     /// TCP reassembly state (UDP flows concatenate datagrams here too —
     /// the analyzer wants "the bytes this source sent" either way).
     pub stream: Reassembler,
+    /// Nanoseconds this flow's packets spent in the pre-filter and in
+    /// reassembly — the front half of its per-flow latency trail. Only
+    /// an observing caller adds to them ([`FlowTable::add_front_nanos`]).
+    pub prefilter_nanos: u64,
+    /// See [`Flow::prefilter_nanos`].
+    pub reassembly_nanos: u64,
     udp_next: u32,
     /// Intrusive LRU links (meaningful only while the flow is tracked;
     /// stale on drained/shed clones).
@@ -102,6 +109,8 @@ impl Flow {
             packets: 0,
             payload_bytes: 0,
             stream: Reassembler::with_limits(max_stream, policy, max_shadow),
+            prefilter_nanos: 0,
+            reassembly_nanos: 0,
             udp_next: 0,
             lru_prev: None,
             lru_next: None,
@@ -149,7 +158,7 @@ pub enum ShedCause {
     ByteBudget,
 }
 
-/// A flow shed under pressure, queued for analyze-on-evict (only when
+/// A flow shed under pressure, queued for the caller (only when
 /// `FlowTableConfig::hand_off_shed` is set).
 #[derive(Debug)]
 pub struct ShedFlow {
@@ -425,6 +434,15 @@ impl FlowTable {
             }
         }
         outcome
+    }
+
+    /// Add pre-filter and reassembly nanoseconds to `key`'s flow (a no-op
+    /// when the table does not hold it).
+    pub fn add_front_nanos(&mut self, key: &FlowKey, prefilter_nanos: u64, reassembly_nanos: u64) {
+        if let Some(flow) = self.flows.get_mut(key) {
+            flow.prefilter_nanos += prefilter_nanos;
+            flow.reassembly_nanos += reassembly_nanos;
+        }
     }
 
     /// Look up a flow.

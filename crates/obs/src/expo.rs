@@ -148,10 +148,6 @@ pub fn render_text(snap: &Snapshot) -> String {
         "snids_flow_latency_tracked_flows {}\n",
         snap.flow_tracked
     ));
-    out.push_str(&format!(
-        "snids_flow_latency_overflow_total {}\n",
-        snap.flow_overflow
-    ));
     for (name, value) in &snap.named {
         out.push_str(&format!("{name} {value}\n"));
     }
@@ -240,10 +236,7 @@ pub fn render_json(snap: &Snapshot) -> String {
             sparse.join(",")
         ));
     }
-    out.push_str(&format!(
-        "],\"flow_tracked\":{},\"flow_overflow\":{},",
-        snap.flow_tracked, snap.flow_overflow
-    ));
+    out.push_str(&format!("],\"flow_tracked\":{},", snap.flow_tracked));
     out.push_str(&format!(
         "\"warnings\":{},\"flight_recorder\":{{\"recorded\":{},\"contended\":{},\"capacity\":{}}}}}",
         snap.warnings, snap.recorder_recorded, snap.recorder_contended, snap.recorder_capacity
@@ -334,9 +327,10 @@ mod tests {
             src_port: 1234,
             dst_port: 80,
         };
-        obs.flow_charge(id, Stage::Decode, 900);
-        obs.flow_charge(id, Stage::Prefilter, 40);
-        obs.flow_settle(&id, FlowOutcome::Alerted);
+        let mut trail = [0; crate::flowlat::TRAIL_STAGES];
+        trail[Stage::Decode as usize] = 900;
+        trail[Stage::Prefilter as usize] = 40;
+        obs.flow_settle(id, FlowOutcome::Alerted, &trail);
         let snap = obs.snapshot();
         let page = render_text(&snap);
         assert!(page.contains(
@@ -346,7 +340,7 @@ mod tests {
             page.contains("snids_flow_latency_nanos_sum{stage=\"decode\",outcome=\"alerted\"} 900")
         );
         assert!(page.contains("snids_flow_latency_tracked_flows 1"));
-        assert!(page.contains("snids_flow_latency_overflow_total 0"));
+        assert!(!page.contains("overflow"));
         let doc = render_json(&snap);
         // Stage order is discriminant order, so decode (5) precedes the
         // late-added prefilter (9).
@@ -354,7 +348,7 @@ mod tests {
             doc.contains("\"flow_latency\":[{\"stage\":\"decode\",\"outcome\":\"alerted\""),
             "{doc}"
         );
-        assert!(doc.contains("\"flow_tracked\":1,\"flow_overflow\":0"));
+        assert!(doc.contains("\"flow_tracked\":1,\"warnings\""), "{doc}");
     }
 
     #[test]

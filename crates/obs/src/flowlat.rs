@@ -2,32 +2,28 @@
 //!
 //! The stage histograms in the registry aggregate globally: they say the
 //! decoder's p99 is high, not *which flows* paid it. This module closes
-//! that gap with a bounded tracker that accumulates a **stage-nanos
-//! trail** per flow (total nanoseconds the flow spent in each per-flow
-//! stage) and, when the flow's fate is known, settles the trail into a
-//! per-stage histogram family labeled by outcome — rendered as
-//! `snids_flow_latency_*` and appended to flight-recorder dumps.
+//! that gap. Each flow carries a **stage-nanos trail** (total nanoseconds
+//! the flow spent in each per-flow stage) on its own record in the flow
+//! table, and the pipeline settles the trail here exactly once, when the
+//! flow's fate is known. Settling folds it into a per-stage histogram
+//! family labeled by outcome — rendered as `snids_flow_latency_*` — and
+//! keeps the most recent trails for flight-recorder dumps.
 //!
-//! Only the stages that run *per flow* are charged here (pre-filter,
+//! Only the stages that run *per flow* appear in a trail (pre-filter,
 //! reassembly, and the analysis tail: extract → decode → IR-lift →
 //! template-match → dataflow). The front-half stages (capture, classify,
 //! defrag) run before flow identity is cheap to compute and keep their
 //! global aggregation.
 //!
-//! Cost discipline matches the rest of the crate: charging is gated on
-//! [`crate::Obs::enabled`] by callers, the live map is bounded
-//! ([`MAX_LIVE_FLOWS`]), and the tracker mutex is only ever `try_lock`ed
-//! on the charge path — a contended charge is dropped and counted in
-//! `overflow` rather than ever blocking the capture thread or a pool worker.
+//! There is no live per-flow map here: the flow table already bounds and
+//! evicts flows, so every flow that entered it settles once — analyzed
+//! (`alerted`/`benign`) or not (`dropped`) — and the settled counts do
+//! not depend on the worker count.
 
-use crate::hist::{self, BUCKETS};
+use crate::hist::{LogHistogram, BUCKETS};
 use crate::stage::Stage;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
-
-/// Live flows tracked at once; charges to new flows past this cap are
-/// dropped (and counted) so a flood cannot grow the tracker unboundedly.
-pub const MAX_LIVE_FLOWS: usize = 4096;
 
 /// Settled trails retained for flight-dump enrichment (newest win).
 const MAX_SETTLED_TRAILS: usize = 256;
@@ -55,8 +51,8 @@ pub struct FlowId {
 pub enum FlowOutcome {
     /// The analyzer raised at least one alert on the flow.
     Alerted = 0,
-    /// The flow left the pipeline without analysis (evicted, shed,
-    /// rejected, or panicked).
+    /// The flow entered the flow table and left it without a verdict
+    /// (evicted unanalyzed, or its analysis panicked).
     Dropped = 1,
     /// Analyzed clean.
     Benign = 2,
@@ -80,157 +76,90 @@ impl FlowOutcome {
     }
 }
 
-/// One settled (stage, outcome) distribution: per-flow *total* stage time,
-/// one observation per flow that spent time in the stage.
-#[derive(Debug, Clone)]
-struct Dist {
-    count: u64,
-    sum_nanos: u64,
-    max_nanos: u64,
-    buckets: [u64; BUCKETS],
+/// The mutex-guarded tracker state inside the registry.
+#[derive(Debug)]
+pub(crate) struct FlowLatencyTracker {
+    /// (stage × outcome) distributions of settled per-flow stage time:
+    /// one observation per flow that spent time in the stage.
+    dists: Vec<LogHistogram>,
+    /// Recently settled trails, newest last, for flight-dump lookups.
+    settled: VecDeque<(FlowId, FlowOutcome, [u64; TRAIL_STAGES])>,
+    /// Flows settled into the family.
+    tracked: u64,
 }
 
-impl Default for Dist {
+impl Default for FlowLatencyTracker {
     fn default() -> Self {
-        Dist {
-            count: 0,
-            sum_nanos: 0,
-            max_nanos: 0,
-            buckets: [0; BUCKETS],
+        FlowLatencyTracker {
+            dists: (0..TRAIL_STAGES * FlowOutcome::ALL.len())
+                .map(|_| LogHistogram::default())
+                .collect(),
+            settled: VecDeque::with_capacity(MAX_SETTLED_TRAILS),
+            tracked: 0,
         }
     }
 }
 
-impl Dist {
-    fn record(&mut self, nanos: u64) {
-        self.count += 1;
-        self.sum_nanos += nanos;
-        self.max_nanos = self.max_nanos.max(nanos);
-        // Same bucketing rule as LogHistogram::record.
-        let bucket = ((64 - nanos.leading_zeros()) as usize).min(BUCKETS - 1);
-        self.buckets[bucket] += 1;
-    }
-}
-
-/// The mutex-guarded tracker state inside the registry.
-#[derive(Debug, Default)]
-pub(crate) struct FlowLatencyTracker {
-    /// Stage-nanos accumulators for flows still in flight.
-    live: HashMap<FlowId, [u64; TRAIL_STAGES]>,
-    /// (stage × outcome) distributions of settled per-flow stage time.
-    dists: Vec<Dist>,
-    /// Recently settled trails, newest last, for flight-dump lookups.
-    settled: Vec<(FlowId, FlowOutcome, [u64; TRAIL_STAGES])>,
-    /// Flows settled into the family.
-    tracked: u64,
-    /// Charges refused: live-map cap reached or tracker mutex contended.
-    overflow: u64,
+/// Index of the (stage, outcome) cell in `FlowLatencyTracker::dists`.
+fn cell(stage: Stage, outcome: FlowOutcome) -> usize {
+    stage as usize * FlowOutcome::ALL.len() + outcome as usize
 }
 
 impl FlowLatencyTracker {
-    fn record_settled(&mut self, stage: Stage, outcome: FlowOutcome, nanos: u64) {
-        if self.dists.is_empty() {
-            self.dists = vec![Dist::default(); TRAIL_STAGES * FlowOutcome::ALL.len()];
-        }
-        let index = stage as usize * FlowOutcome::ALL.len() + outcome as usize;
-        if let Some(dist) = self.dists.get_mut(index) {
-            dist.record(nanos);
-        }
-    }
-
-    pub(crate) fn charge(&mut self, id: FlowId, stage: Stage, nanos: u64) {
-        if let Some(trail) = self.live.get_mut(&id) {
-            if let Some(slot) = trail.get_mut(stage as usize) {
-                *slot += nanos;
-            }
-        } else if self.live.len() >= MAX_LIVE_FLOWS {
-            self.overflow += 1;
-        } else {
-            let mut trail = [0u64; TRAIL_STAGES];
-            if let Some(slot) = trail.get_mut(stage as usize) {
-                *slot = nanos;
-            }
-            self.live.insert(id, trail);
-        }
-    }
-
-    pub(crate) fn settle(
-        &mut self,
-        id: &FlowId,
-        outcome: FlowOutcome,
-    ) -> Option<[u64; TRAIL_STAGES]> {
-        let trail = self.live.remove(id)?;
+    pub(crate) fn settle(&mut self, id: FlowId, outcome: FlowOutcome, trail: &[u64; TRAIL_STAGES]) {
         self.tracked += 1;
-        for (stage_idx, &nanos) in trail.iter().enumerate() {
+        for (stage, &nanos) in Stage::ALL.iter().zip(trail) {
             if nanos > 0 {
-                if let Some(stage) = Stage::from_code(stage_idx as u8) {
-                    self.record_settled(stage, outcome, nanos);
+                if let Some(dist) = self.dists.get(cell(*stage, outcome)) {
+                    dist.record(nanos);
                 }
             }
         }
         if self.settled.len() >= MAX_SETTLED_TRAILS {
-            self.settled.remove(0);
+            self.settled.pop_front();
         }
-        self.settled.push((*id, outcome, trail));
-        Some(trail)
+        self.settled.push_back((id, outcome, *trail));
     }
 
-    pub(crate) fn settle_all(&mut self, outcome: FlowOutcome) -> usize {
-        let mut ids: Vec<FlowId> = self.live.keys().copied().collect();
-        // Deterministic settle order so the retained-trail window is
-        // reproducible run to run.
-        ids.sort_unstable_by_key(|id| (id.src, id.dst, id.src_port, id.dst_port));
-        let n = ids.len();
-        for id in ids {
-            self.settle(&id, outcome);
-        }
-        n
-    }
-
-    /// Most recent trail for `(src, dst, dst_port)` (any source port) —
-    /// settled flows first, newest first, then still-live trails.
+    /// Most recent settled trail for `(src, dst, dst_port)` (any source
+    /// port), newest first.
     pub(crate) fn trail(
         &self,
         src: Ipv4Addr,
         dst: Ipv4Addr,
         dst_port: u16,
-    ) -> Option<(Option<FlowOutcome>, [u64; TRAIL_STAGES])> {
-        let matches = |id: &FlowId| id.src == src && id.dst == dst && id.dst_port == dst_port;
-        if let Some((_, outcome, trail)) = self.settled.iter().rev().find(|(id, _, _)| matches(id))
-        {
-            return Some((Some(*outcome), *trail));
-        }
-        self.live
+    ) -> Option<(FlowOutcome, [u64; TRAIL_STAGES])> {
+        self.settled
             .iter()
-            .find(|(id, _)| matches(id))
-            .map(|(_, trail)| (None, *trail))
+            .rev()
+            .find(|(id, _, _)| id.src == src && id.dst == dst && id.dst_port == dst_port)
+            .map(|(_, outcome, trail)| (*outcome, *trail))
     }
 
-    pub(crate) fn snapshot(&self) -> (Vec<FlowLatencySnapshot>, u64, u64) {
+    pub(crate) fn snapshot(&self) -> (Vec<FlowLatencySnapshot>, u64) {
         let mut out = Vec::new();
         for stage in Stage::ALL {
             for outcome in FlowOutcome::ALL {
-                let index = stage as usize * FlowOutcome::ALL.len() + outcome as usize;
-                let Some(dist) = self.dists.get(index) else {
+                let Some(dist) = self.dists.get(cell(stage, outcome)) else {
                     continue;
                 };
-                if dist.count == 0 {
+                if dist.count() == 0 {
                     continue;
                 }
                 out.push(FlowLatencySnapshot {
                     stage,
                     outcome,
-                    count: dist.count,
-                    sum_nanos: dist.sum_nanos,
-                    max_nanos: dist.max_nanos,
-                    p50_nanos: hist::quantile_from_buckets(&dist.buckets, 0.50),
-                    p90_nanos: hist::quantile_from_buckets(&dist.buckets, 0.90),
-                    p99_nanos: hist::quantile_from_buckets(&dist.buckets, 0.99),
-                    buckets: dist.buckets,
+                    count: dist.count(),
+                    sum_nanos: dist.sum(),
+                    max_nanos: dist.max(),
+                    p50_nanos: dist.quantile(0.50),
+                    p90_nanos: dist.quantile(0.90),
+                    p99_nanos: dist.quantile(0.99),
+                    buckets: dist.buckets(),
                 });
             }
         }
-        (out, self.tracked, self.overflow)
+        (out, self.tracked)
     }
 }
 
@@ -262,12 +191,9 @@ pub struct FlowLatencySnapshot {
 
 /// Render a settled trail as the one-line `stage-nanos` form used in
 /// flight dumps: non-zero stages only, pipeline order, plus the total.
-pub fn render_trail(outcome: Option<FlowOutcome>, trail: &[u64; TRAIL_STAGES]) -> String {
+pub fn render_trail(outcome: FlowOutcome, trail: &[u64; TRAIL_STAGES]) -> String {
     use std::fmt::Write as _;
-    let mut line = match outcome {
-        Some(o) => format!("  stage-nanos[outcome={}]", o.name()),
-        None => "  stage-nanos[outcome=in-flight]".to_string(),
-    };
+    let mut line = format!("  stage-nanos[outcome={}]", outcome.name());
     let mut total = 0u64;
     for stage in Stage::ALL {
         let nanos = trail[stage as usize];
@@ -293,21 +219,26 @@ mod tests {
         }
     }
 
+    fn trail(charges: &[(Stage, u64)]) -> [u64; TRAIL_STAGES] {
+        let mut trail = [0; TRAIL_STAGES];
+        for &(stage, nanos) in charges {
+            trail[stage as usize] += nanos;
+        }
+        trail
+    }
+
     #[test]
     fn charges_accumulate_and_settle_by_outcome() {
         let mut t = FlowLatencyTracker::default();
-        t.charge(id(1), Stage::Prefilter, 100);
-        t.charge(id(1), Stage::Prefilter, 50);
-        t.charge(id(1), Stage::Decode, 900);
-        t.charge(id(2), Stage::Decode, 40);
-        let trail = t.settle(&id(1), FlowOutcome::Alerted).expect("tracked");
-        assert_eq!(trail[Stage::Prefilter as usize], 150);
-        assert_eq!(trail[Stage::Decode as usize], 900);
-        assert!(t.settle(&id(1), FlowOutcome::Alerted).is_none(), "drained");
-        t.settle(&id(2), FlowOutcome::Benign);
-        let (snaps, tracked, overflow) = t.snapshot();
+        let first = trail(&[
+            (Stage::Prefilter, 100),
+            (Stage::Prefilter, 50),
+            (Stage::Decode, 900),
+        ]);
+        t.settle(id(1), FlowOutcome::Alerted, &first);
+        t.settle(id(2), FlowOutcome::Benign, &trail(&[(Stage::Decode, 40)]));
+        let (snaps, tracked) = t.snapshot();
         assert_eq!(tracked, 2);
-        assert_eq!(overflow, 0);
         // prefilter/alerted, decode/alerted, decode/benign.
         assert_eq!(snaps.len(), 3);
         let decode_alerted = snaps
@@ -317,46 +248,17 @@ mod tests {
         assert_eq!(decode_alerted.count, 1);
         assert_eq!(decode_alerted.sum_nanos, 900);
         assert_eq!(decode_alerted.buckets.iter().sum::<u64>(), 1);
-    }
 
-    #[test]
-    fn live_map_is_bounded() {
-        let mut t = FlowLatencyTracker::default();
-        for n in 0..(MAX_LIVE_FLOWS + 10) {
-            let id = FlowId {
-                src: Ipv4Addr::from((n as u32) | 0x0a00_0000),
-                dst: Ipv4Addr::new(1, 2, 3, 4),
-                src_port: 1,
-                dst_port: 80,
-            };
-            t.charge(id, Stage::Reassembly, 1);
-        }
-        assert_eq!(t.live.len(), MAX_LIVE_FLOWS);
-        assert_eq!(t.overflow, 10);
-        // Charges to already-live flows still land at the cap.
-        let existing = *t.live.keys().next().expect("non-empty");
-        t.charge(existing, Stage::Reassembly, 5);
-        assert_eq!(t.overflow, 10);
-    }
-
-    #[test]
-    fn settle_all_drains_and_trails_resolve() {
-        let mut t = FlowLatencyTracker::default();
-        t.charge(id(3), Stage::Extract, 70);
-        t.charge(id(4), Stage::Extract, 30);
-        let (outcome, trail) = t
-            .trail(id(3).src, id(3).dst, id(3).dst_port)
-            .expect("live trail");
-        assert_eq!(outcome, None);
-        assert_eq!(trail[Stage::Extract as usize], 70);
-        assert_eq!(t.settle_all(FlowOutcome::Dropped), 2);
-        let (outcome, _) = t
-            .trail(id(3).src, id(3).dst, id(3).dst_port)
+        // The settled trail resolves by (src, dst, dst_port) for dumps.
+        let (outcome, resolved) = t
+            .trail(id(1).src, id(1).dst, id(1).dst_port)
             .expect("settled trail");
-        assert_eq!(outcome, Some(FlowOutcome::Dropped));
-        let line = render_trail(outcome, &trail);
-        assert!(line.contains("outcome=dropped"));
-        assert!(line.contains("extract=70"));
-        assert!(line.contains("total=70"));
+        assert_eq!(outcome, FlowOutcome::Alerted);
+        assert_eq!(resolved[Stage::Prefilter as usize], 150);
+        let line = render_trail(outcome, &resolved);
+        assert!(line.contains("outcome=alerted"));
+        assert!(line.contains("decode=900"));
+        assert!(line.contains("total=1050"));
+        assert!(t.trail(id(3).src, id(3).dst, 80).is_none());
     }
 }

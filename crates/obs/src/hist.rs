@@ -89,11 +89,9 @@ impl LogHistogram {
     }
 }
 
-/// The quantile readout over a raw bucket array — the same rank walk
-/// [`LogHistogram::quantile`] performs, exposed separately so plain
-/// bucket arrays (the per-flow latency family) report quantiles with
-/// identical semantics. Returns 0 when the buckets are empty.
-pub fn quantile_from_buckets(buckets: &[u64], q: f64) -> u64 {
+/// The quantile readout over a raw bucket array — the rank walk behind
+/// [`LogHistogram::quantile`]. Returns 0 when the buckets are empty.
+fn quantile_from_buckets(buckets: &[u64], q: f64) -> u64 {
     let total: u64 = buckets.iter().sum();
     if total == 0 {
         return 0;

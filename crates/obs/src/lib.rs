@@ -28,9 +28,10 @@
 //!   flow is dropped the pipeline dumps the flow's causal trail.
 //! * [`expo`] — deterministic Prometheus-style text and JSON rendering of
 //!   a [`Snapshot`].
-//! * [`flowlat`] — per-flow, per-stage latency attribution: bounded
-//!   stage-nanos trails settled into an outcome-labeled histogram family
-//!   (`snids_flow_latency_*`) and appended to flight dumps.
+//! * [`flowlat`] — per-flow, per-stage latency attribution: each flow's
+//!   stage-nanos trail rides on its flow-table record and is settled once
+//!   into an outcome-labeled histogram family (`snids_flow_latency_*`);
+//!   recent trails are appended to flight dumps.
 //! * [`serve::MetricsServer`] — a minimal blocking TCP responder for
 //!   `--metrics-listen`.
 //! * [`warn`] — the process-wide warning stream (counted, bounded,

@@ -9,7 +9,7 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default flight-recorder capacity when none is configured.
+/// Flight-recorder capacity, in events, of a pipeline's registry.
 pub const DEFAULT_RECORDER_CAPACITY: usize = 1024;
 
 /// Per-stage instrumentation: how many events the stage handled, how many
@@ -52,11 +52,8 @@ struct ObsCore {
     /// A `BTreeMap` so exposition order is deterministic.
     named: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     recorder: FlightRecorder,
-    /// Per-flow stage-nanos trails and their settled outcome histograms.
+    /// Settled per-flow stage-nanos trails and their outcome histograms.
     flow: Mutex<FlowLatencyTracker>,
-    /// Charges dropped because the tracker mutex was contended (the
-    /// charge path never blocks the capture thread or a pool worker).
-    flow_contended: AtomicU64,
 }
 
 /// The observability handle a pipeline (and its helpers) carry around.
@@ -82,7 +79,6 @@ impl Obs {
                 named: Mutex::new(BTreeMap::new()),
                 recorder: FlightRecorder::new(recorder_capacity),
                 flow: Mutex::new(FlowLatencyTracker::default()),
-                flow_contended: AtomicU64::new(0),
             }),
         }
     }
@@ -147,51 +143,27 @@ impl Obs {
         &self.core.recorder
     }
 
-    /// Charge `nanos` of `stage` time to flow `id`'s stage-nanos trail.
-    /// Hot-path safe: callers gate on [`Obs::enabled`], and a contended
-    /// tracker drops the charge (counted as overflow) instead of
-    /// blocking.
-    pub fn flow_charge(&self, id: FlowId, stage: Stage, nanos: u64) {
-        match self.core.flow.try_lock() {
-            Ok(mut tracker) => tracker.charge(id, stage, nanos),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.core.flow_contended.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner().charge(id, stage, nanos),
-        }
-    }
-
-    /// Settle flow `id`: fold its trail into the (stage × `outcome`)
-    /// histogram family and retain it for flight-dump enrichment.
-    /// Returns the trail, or `None` if the flow was never charged.
-    pub fn flow_settle(&self, id: &FlowId, outcome: FlowOutcome) -> Option<[u64; TRAIL_STAGES]> {
+    /// Settle flow `id` once its fate is known: fold its stage-nanos
+    /// `trail` into the (stage × `outcome`) histogram family and retain it
+    /// for flight-dump enrichment. Called once per flow, never on the
+    /// per-packet path.
+    pub fn flow_settle(&self, id: FlowId, outcome: FlowOutcome, trail: &[u64; TRAIL_STAGES]) {
         self.core
             .flow
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .settle(id, outcome)
+            .settle(id, outcome, trail);
     }
 
-    /// Settle every still-live flow with `outcome` (end-of-run drain for
-    /// flows that left the pipeline without an analysis verdict).
-    /// Returns how many were settled.
-    pub fn flow_settle_all(&self, outcome: FlowOutcome) -> usize {
-        self.core
-            .flow
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .settle_all(outcome)
-    }
-
-    /// The most recent stage-nanos trail for `(src, dst, dst_port)`, if
-    /// one is retained: the settled outcome (or `None` while in flight)
-    /// and the per-stage nanoseconds.
+    /// The most recent settled stage-nanos trail for `(src, dst,
+    /// dst_port)`, if one is retained: the flow's outcome and its
+    /// per-stage nanoseconds.
     pub fn flow_trail(
         &self,
         src: Ipv4Addr,
         dst: Ipv4Addr,
         dst_port: u16,
-    ) -> Option<(Option<FlowOutcome>, [u64; TRAIL_STAGES])> {
+    ) -> Option<(FlowOutcome, [u64; TRAIL_STAGES])> {
         self.core
             .flow
             .lock()
@@ -227,7 +199,7 @@ impl Obs {
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect();
-        let (flow_latency, flow_tracked, flow_overflow) = self
+        let (flow_latency, flow_tracked) = self
             .core
             .flow
             .lock()
@@ -239,7 +211,6 @@ impl Obs {
             named,
             flow_latency,
             flow_tracked,
-            flow_overflow: flow_overflow + self.core.flow_contended.load(Ordering::Relaxed),
             warnings: crate::warning_count(),
             recorder_recorded: self.core.recorder.recorded(),
             recorder_contended: self.core.recorder.contended(),
@@ -287,8 +258,6 @@ pub struct Snapshot {
     pub flow_latency: Vec<FlowLatencySnapshot>,
     /// Flows settled into the per-flow latency family.
     pub flow_tracked: u64,
-    /// Per-flow latency charges refused (live-flow cap or contention).
-    pub flow_overflow: u64,
     /// Process-wide warning count (see [`crate::warn`]).
     pub warnings: u64,
     /// Flight-recorder events offered.

@@ -217,3 +217,41 @@ fn storm_flight_dumps_are_unchanged() {
         dumps.first().map_or("", String::as_str)
     );
 }
+
+#[test]
+fn flow_latency_settles_every_flow_at_any_worker_count() {
+    // 2 100 attackers, each a honeypot probe flow and an exploit flow:
+    // 4 200 suspicious flows, all live in the flow table until `finish`.
+    // Each settles its stage-nanos trail exactly once, so the family
+    // counts every analyzed flow and its counts are the same at every
+    // worker count; only the nanosecond readings vary.
+    let plan = AddressPlan::default();
+    let packets = snids::gen::corpus::polymorphic_storm(2006, 2100, 0);
+    let counts = [1usize, 2, 8].map(|threads| {
+        let mut nids = Nids::new(NidsConfig {
+            honeypots: plan.honeypots.clone(),
+            dark_nets: vec![(plan.dark_net, 16)],
+            threads,
+            observability: true,
+            ..NidsConfig::default()
+        });
+        nids.process_capture(&packets);
+        let analyzed = nids.stats().flows_analyzed;
+        assert!(analyzed > 4096, "threads={threads}: {analyzed} flows");
+        let snap = nids.obs_snapshot();
+        assert_eq!(snap.flow_tracked, analyzed, "threads={threads}");
+        let reassembly: u64 = snap
+            .flow_latency
+            .iter()
+            .filter(|f| f.stage == Stage::Reassembly)
+            .map(|f| f.count)
+            .sum();
+        assert_eq!(reassembly, analyzed, "threads={threads}");
+        snap.flow_latency
+            .iter()
+            .map(|f| (f.stage, f.outcome, f.count))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(counts[0], counts[1], "1 vs 2 workers");
+    assert_eq!(counts[0], counts[2], "1 vs 8 workers");
+}
