@@ -86,6 +86,10 @@ pub struct Nids {
     /// Flight-recorder dumps captured when alerts fired or flows were
     /// dropped mid-analysis (bounded; see [`MAX_FLIGHT_DUMPS`]).
     flight_dumps: Vec<String>,
+    /// Stage-nanos trails of alerted flows awaiting their alert dumps,
+    /// keyed by dump id (the first alerted flow in input order wins);
+    /// kept only while fewer than [`MAX_FLIGHT_DUMPS`] dumps exist.
+    alert_trails: HashMap<(u32, u32, u16), [u64; TRAIL_STAGES]>,
     /// The resource governor's shared byte accounting: the flow table and
     /// the defragmenter charge their buffered bytes here.
     budget: Arc<MemoryBudget>,
@@ -125,8 +129,8 @@ fn reason_name(code: u16) -> &'static str {
     }
 }
 
-/// Record one flight-recorder event (free function so the pool-worker
-/// closures can record through a cloned [`Obs`] handle).
+/// Record one flight-recorder event tagged with `key`'s five-tuple
+/// (all-zero identity when the packet had no trackable flow).
 fn record_event(
     obs: &Obs,
     stage: Stage,
@@ -152,32 +156,7 @@ fn record_event(
     });
 }
 
-/// The per-flow latency identity of a tracked flow (free function for
-/// the same reason as [`record_event`]).
-fn flow_latency_id(key: &FlowKey) -> snids_obs::FlowId {
-    snids_obs::FlowId {
-        src: key.src,
-        dst: key.dst,
-        src_port: key.src_port,
-        dst_port: key.dst_port,
-    }
-}
-
-/// A flow's latency trail as far as the front half took it: its
-/// pre-filter and reassembly time, carried on the flow record.
-fn front_trail(flow: &Flow) -> [u64; TRAIL_STAGES] {
-    let mut trail = [0; TRAIL_STAGES];
-    trail[Stage::Prefilter as usize] = flow.prefilter_nanos;
-    trail[Stage::Reassembly as usize] = flow.reassembly_nanos;
-    trail
-}
-
-/// The `(src, dst, dst_port)` a flight dump is keyed by.
-fn dump_id(e: &Event) -> (u32, u32, u16) {
-    (e.src, e.dst, e.dst_port)
-}
-
-/// [`dump_id`] of a flow key.
+/// The `(src, dst, dst_port)` a flight dump of a flow is keyed by.
 fn key_dump_id(k: &FlowKey) -> (u32, u32, u16) {
     (u32::from(k.src), u32::from(k.dst), k.dst_port)
 }
@@ -219,10 +198,8 @@ struct FlowOutcome {
     /// Flows whose retained divergent-overlap shadow produced an
     /// alternative stream view for analysis.
     alt_views: u64,
-    /// Identities of the flows behind `panicked`, for flight-recorder
-    /// dumps (a panicked flow is a lost detection opportunity — exactly
-    /// when an operator wants the causal trail).
-    panicked_keys: Vec<FlowKey>,
+    /// One record per flow, in input order — only when observing.
+    records: Vec<FlowRecord>,
 }
 
 impl FlowOutcome {
@@ -236,7 +213,36 @@ impl FlowOutcome {
         self.dataflow_exhausted += other.dataflow_exhausted;
         self.dataflow_recovered += other.dataflow_recovered;
         self.alt_views += other.alt_views;
-        self.panicked_keys.extend(other.panicked_keys);
+        self.records.extend(other.records);
+    }
+}
+
+/// What a pool worker hands back about one flow when observing. The
+/// workers write no observability state of their own: the calling thread
+/// turns these, in input order, into flight-recorder events, settled
+/// trails and flight dumps.
+struct FlowRecord {
+    key: FlowKey,
+    /// `dropped` until the analysis returns a verdict.
+    verdict: snids_obs::FlowOutcome,
+    /// Per-stage nanoseconds: the front half's, then the tail's.
+    trail: [u64; TRAIL_STAGES],
+    /// Size of each frame whose analysis bailed out, in frame order.
+    bailouts: Vec<u64>,
+}
+
+impl FlowRecord {
+    /// A flow as the front half left it: no verdict yet.
+    fn front(flow: &Flow) -> FlowRecord {
+        let mut trail = [0; TRAIL_STAGES];
+        trail[Stage::Prefilter as usize] = flow.prefilter_nanos;
+        trail[Stage::Reassembly as usize] = flow.reassembly_nanos;
+        FlowRecord {
+            key: flow.key,
+            verdict: snids_obs::FlowOutcome::Dropped,
+            trail,
+            bailouts: Vec::new(),
+        }
     }
 }
 
@@ -313,6 +319,7 @@ impl Nids {
             dataflow: config.dataflow,
             obs,
             flight_dumps: Vec::new(),
+            alert_trails: HashMap::new(),
             budget,
             analyze_on_evict: config.analyze_on_evict,
             shed_analyzed: 0,
@@ -417,75 +424,51 @@ impl Nids {
         snids_obs::expo::render_json(&self.obs_snapshot())
     }
 
-    /// Record one flight-recorder event tagged with `key`'s five-tuple
-    /// (all-zero identity when the packet had no trackable flow).
-    fn obs_event(
-        &self,
-        stage: Stage,
-        kind: EventKind,
-        key: Option<&FlowKey>,
-        bytes: u64,
-        reason: Option<DropReason>,
-    ) {
-        record_event(&self.obs, stage, kind, key, bytes, reason);
-    }
-
-    /// One `why` dump per distinct `(src, dst, dst_port)` in `ids`, in
+    /// One `why` dump per distinct `(src, dst, dst_port)` in `flows`, in
     /// order, until [`MAX_FLIGHT_DUMPS`] exist — from one copy of the
-    /// flight ring, indexed by flow. The source port is wildcarded:
-    /// alerts do not carry it.
-    fn dump_flights(&mut self, why: &str, ids: impl IntoIterator<Item = (u32, u32, u16)>) {
-        let mut ids = ids.into_iter().peekable();
-        if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS || ids.peek().is_none() {
+    /// flight ring, indexed by flow. A dump lists the flow's events,
+    /// oldest first, and ends in the stage-nanos trail paired with its id,
+    /// settled as `outcome`. The source port is wildcarded: alerts do not
+    /// carry it.
+    fn dump_flights(
+        &mut self,
+        why: &str,
+        outcome: snids_obs::FlowOutcome,
+        flows: impl IntoIterator<Item = ((u32, u32, u16), [u64; TRAIL_STAGES])>,
+    ) {
+        let mut flows = flows.into_iter().peekable();
+        if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS || flows.peek().is_none() {
             return;
         }
         let events = self.obs.recorder().events();
         let mut trails: HashMap<(u32, u32, u16), Vec<&Event>> = HashMap::new();
         for event in &events {
-            trails.entry(dump_id(event)).or_default().push(event);
+            let id = (event.src, event.dst, event.dst_port);
+            trails.entry(id).or_default().push(event);
         }
         let mut dumped = HashSet::new();
-        for id in ids {
+        for (id @ (src, dst, dst_port), stage_nanos) in flows {
             if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS {
                 break;
             }
-            if dumped.insert(id) {
-                if let Some(trail) = trails.get(&id) {
-                    self.push_flight_dump(why, id, trail);
-                }
+            if !dumped.insert(id) {
+                continue;
             }
+            let Some(trail) = trails.get(&id) else {
+                continue;
+            };
+            let lines: Vec<String> = trail.iter().map(|e| render_event(e)).collect();
+            self.flight_dumps.push(format!(
+                "flight[{}] {} -> {}:{} ({} events)\n{}\n{}",
+                why,
+                std::net::Ipv4Addr::from(src),
+                std::net::Ipv4Addr::from(dst),
+                dst_port,
+                lines.len(),
+                lines.join("\n"),
+                snids_obs::flowlat::render_trail(outcome, &stage_nanos),
+            ));
         }
-    }
-
-    /// Render `trail` (oldest first) as one flight dump, with the flow's
-    /// per-stage latency trail when one is retained. No-op when empty.
-    fn push_flight_dump(
-        &mut self,
-        why: &str,
-        (src, dst, dst_port): (u32, u32, u16),
-        trail: &[&Event],
-    ) {
-        if trail.is_empty() {
-            return;
-        }
-        let (src, dst) = (std::net::Ipv4Addr::from(src), std::net::Ipv4Addr::from(dst));
-        let lines: Vec<String> = trail.iter().map(|e| render_event(e)).collect();
-        let mut dump = format!(
-            "flight[{}] {} -> {}:{} ({} events)\n{}",
-            why,
-            src,
-            dst,
-            dst_port,
-            lines.len(),
-            lines.join("\n"),
-        );
-        // Attribution: the flow's per-stage latency trail, when one is
-        // retained (source port wildcarded, same as the event filter).
-        if let Some((outcome, stage_nanos)) = self.obs.flow_trail(src, dst, dst_port) {
-            dump.push('\n');
-            dump.push_str(&snids_obs::flowlat::render_trail(outcome, &stage_nanos));
-        }
-        self.flight_dumps.push(dump);
     }
 
     /// The pool the flow-analysis stage runs on. A default-sized pool
@@ -613,24 +596,12 @@ impl Nids {
         }
         if !self.analyze_on_evict {
             if self.obs.enabled() {
-                for s in &shed {
-                    self.obs_event(
-                        Stage::Reassembly,
-                        EventKind::Drop,
-                        Some(&s.flow.key),
-                        0,
-                        Some(DropReason::FlowEvicted),
-                    );
-                    self.obs.flow_settle(
-                        flow_latency_id(&s.flow.key),
-                        snids_obs::FlowOutcome::Dropped,
-                        &front_trail(&s.flow),
-                    );
+                let victims: Vec<FlowRecord> =
+                    shed.iter().map(|s| FlowRecord::front(&s.flow)).collect();
+                for rec in &victims {
+                    self.obs.flow_settle(rec.verdict, &rec.trail);
                 }
-                self.dump_flights(
-                    "flow_evicted",
-                    shed.iter().map(|s| key_dump_id(&s.flow.key)),
-                );
+                self.dump_dropped(Stage::Reassembly, DropReason::FlowEvicted, victims.iter());
             }
             return;
         }
@@ -642,7 +613,8 @@ impl Nids {
                 self.shed_analyzed_budget += 1;
             }
             if observing {
-                self.obs_event(
+                record_event(
+                    &self.obs,
                     Stage::Reassembly,
                     EventKind::Drop,
                     Some(&s.flow.key),
@@ -720,7 +692,8 @@ impl Nids {
             self.stats.drops.inc(DropReason::ChecksumFailed);
             if observing {
                 let key = FlowKey::of(packet);
-                self.obs_event(
+                record_event(
+                    &self.obs,
                     Stage::Capture,
                     EventKind::Drop,
                     key.as_ref(),
@@ -777,7 +750,8 @@ impl Nids {
                             DefragDrop::Oversize => DropReason::DefragOversize,
                             DefragDrop::Invalid => DropReason::DefragInvalid,
                         };
-                        self.obs_event(
+                        record_event(
+                            &self.obs,
                             Stage::Defrag,
                             EventKind::Drop,
                             None,
@@ -912,9 +886,10 @@ impl Nids {
         let obs = self.obs.clone();
         let observing = obs.enabled();
 
-        // `trail` arrives holding the flow's front-half time; the tail
-        // stages add theirs as they run.
-        let analyze_one = |flow: &Flow, trail: &mut [u64; TRAIL_STAGES]| -> FlowOutcome {
+        // `rec` arrives holding the flow's front-half time; the tail
+        // stages add theirs as they run, and bailed-out frames are noted
+        // for the calling thread to record.
+        let analyze_one = |flow: &Flow, rec: &mut FlowRecord| -> FlowOutcome {
             let t_extract = if observing {
                 Some(Instant::now())
             } else {
@@ -930,7 +905,7 @@ impl Nids {
             if let Some(t) = t_extract {
                 let nanos = t.elapsed().as_nanos() as u64;
                 obs.record_stage(Stage::Extract, nanos, payload.len() as u64);
-                trail[Stage::Extract as usize] += nanos;
+                rec.trail[Stage::Extract as usize] += nanos;
             }
             let mut out = FlowOutcome {
                 frames: frames.len() as u64,
@@ -949,9 +924,9 @@ impl Nids {
                     obs.record_stage(Stage::Decode, timing.decode_nanos, bytes);
                     obs.record_stage(Stage::IrLift, timing.lift_nanos, bytes);
                     obs.record_stage(Stage::TemplateMatch, timing.match_nanos, bytes);
-                    trail[Stage::Decode as usize] += timing.decode_nanos;
-                    trail[Stage::IrLift as usize] += timing.lift_nanos;
-                    trail[Stage::TemplateMatch as usize] += timing.match_nanos;
+                    rec.trail[Stage::Decode as usize] += timing.decode_nanos;
+                    rec.trail[Stage::IrLift as usize] += timing.lift_nanos;
+                    rec.trail[Stage::TemplateMatch as usize] += timing.match_nanos;
                     analysis
                 } else {
                     analyzer.analyze_frame(data)
@@ -959,14 +934,7 @@ impl Nids {
                 if analysis.sweep_exhausted || frame.data.len() > frame_cap {
                     out.bailouts += 1;
                     if observing {
-                        record_event(
-                            &obs,
-                            Stage::Decode,
-                            EventKind::Drop,
-                            Some(&flow.key),
-                            frame.data.len() as u64,
-                            Some(DropReason::DecoderBailout),
-                        );
+                        rec.bailouts.push(frame.data.len() as u64);
                     }
                 }
                 for m in analysis.matches {
@@ -1029,7 +997,7 @@ impl Nids {
                 if let Some(t) = t_df {
                     let nanos = t.elapsed().as_nanos() as u64;
                     obs.record_stage(Stage::Dataflow, nanos, df_bytes);
-                    trail[Stage::Dataflow as usize] += nanos;
+                    rec.trail[Stage::Dataflow as usize] += nanos;
                 }
             }
             out
@@ -1037,26 +1005,22 @@ impl Nids {
         let run_batch = |batch: &&[Flow]| -> FlowOutcome {
             let mut agg = FlowOutcome::default();
             for flow in batch.iter() {
-                let mut trail = front_trail(flow);
-                let result = catch_unwind(AssertUnwindSafe(|| analyze_one(flow, &mut trail)));
-                if observing {
-                    // The verdict settles the flow's latency trail, once:
-                    // it folds into the (stage × outcome) histogram family
-                    // and stays resolvable for flight dumps. A panicked
-                    // flow settles as dropped with the time it had spent.
-                    let verdict = match &result {
-                        Ok(outcome) if outcome.alerts.is_empty() => snids_obs::FlowOutcome::Benign,
-                        Ok(_) => snids_obs::FlowOutcome::Alerted,
-                        Err(_) => snids_obs::FlowOutcome::Dropped,
-                    };
-                    obs.flow_settle(flow_latency_id(&flow.key), verdict, &trail);
-                }
-                match result {
-                    Ok(outcome) => agg.absorb(outcome),
-                    Err(_) => {
-                        agg.panicked += 1;
-                        agg.panicked_keys.push(flow.key);
+                let mut rec = FlowRecord::front(flow);
+                match catch_unwind(AssertUnwindSafe(|| analyze_one(flow, &mut rec))) {
+                    Ok(outcome) => {
+                        rec.verdict = if outcome.alerts.is_empty() {
+                            snids_obs::FlowOutcome::Benign
+                        } else {
+                            snids_obs::FlowOutcome::Alerted
+                        };
+                        agg.absorb(outcome);
                     }
+                    // A panicked flow stays `dropped`, with the time it
+                    // had spent.
+                    Err(_) => agg.panicked += 1,
+                }
+                if observing {
+                    agg.records.push(rec);
                 }
             }
             agg
@@ -1071,7 +1035,11 @@ impl Nids {
                 .map(|(result, batch)| {
                     result.unwrap_or_else(|_| FlowOutcome {
                         panicked: batch.len() as u64,
-                        panicked_keys: batch.iter().map(|f| f.key).collect(),
+                        records: batch
+                            .iter()
+                            .filter(|_| observing)
+                            .map(FlowRecord::front)
+                            .collect(),
                         ..FlowOutcome::default()
                     })
                 })
@@ -1113,23 +1081,71 @@ impl Nids {
                 .add(total.alt_views);
         }
         if observing {
-            // A panicked flow is a lost detection opportunity — dump the
-            // flow's recorded trail while it is still in the ring.
-            for key in &total.panicked_keys {
-                self.obs_event(
-                    Stage::Extract,
-                    EventKind::Drop,
-                    Some(key),
-                    0,
-                    Some(DropReason::AnalysisPanicked),
-                );
-            }
-            self.dump_flights(
-                "analysis_panicked",
-                total.panicked_keys.iter().map(key_dump_id),
-            );
+            self.observe_analyzed(&total.records);
         }
         alerts
+    }
+
+    /// The calling thread's half of observing [`Nids::analyze_flows`], in
+    /// input order: record each flow's decoder bailouts, settle its trail
+    /// once, keep an alerted flow's trail for its alert dump, then record
+    /// and dump the panicked flows.
+    fn observe_analyzed(&mut self, records: &[FlowRecord]) {
+        for rec in records {
+            for &bytes in &rec.bailouts {
+                record_event(
+                    &self.obs,
+                    Stage::Decode,
+                    EventKind::Drop,
+                    Some(&rec.key),
+                    bytes,
+                    Some(DropReason::DecoderBailout),
+                );
+            }
+            self.obs.flow_settle(rec.verdict, &rec.trail);
+            if rec.verdict == snids_obs::FlowOutcome::Alerted
+                && self.flight_dumps.len() < MAX_FLIGHT_DUMPS
+            {
+                self.alert_trails
+                    .entry(key_dump_id(&rec.key))
+                    .or_insert(rec.trail);
+            }
+        }
+        // A panicked flow is a lost detection opportunity — dump the
+        // flow's recorded trail while it is still in the ring.
+        self.dump_dropped(
+            Stage::Extract,
+            DropReason::AnalysisPanicked,
+            records
+                .iter()
+                .filter(|rec| rec.verdict == snids_obs::FlowOutcome::Dropped),
+        );
+    }
+
+    /// Record a `reason` drop event at `stage` for each flow in
+    /// `dropped`, then dump their flights under the reason's name, each
+    /// ending in the flow's `dropped` trail.
+    fn dump_dropped<'a>(
+        &mut self,
+        stage: Stage,
+        reason: DropReason,
+        dropped: impl Iterator<Item = &'a FlowRecord> + Clone,
+    ) {
+        for rec in dropped.clone() {
+            record_event(
+                &self.obs,
+                stage,
+                EventKind::Drop,
+                Some(&rec.key),
+                0,
+                Some(reason),
+            );
+        }
+        self.dump_flights(
+            reason.name(),
+            snids_obs::FlowOutcome::Dropped,
+            dropped.map(|rec| (key_dump_id(&rec.key), rec.trail)),
+        );
     }
 
     /// Order, dedup and publish a merged batch of raw alerts (end-of-run
@@ -1170,11 +1186,16 @@ impl Nids {
                     reason: 0,
                 });
             }
+            // Every alert's flow left its trail in `alert_trails` while
+            // dumps were still being taken.
+            let trails = std::mem::take(&mut self.alert_trails);
             self.dump_flights(
                 "alert",
-                alerts
-                    .iter()
-                    .map(|a| (u32::from(a.src), u32::from(a.dst), a.dst_port)),
+                snids_obs::FlowOutcome::Alerted,
+                alerts.iter().filter_map(|a| {
+                    let id = (u32::from(a.src), u32::from(a.dst), a.dst_port);
+                    Some((id, *trails.get(&id)?))
+                }),
             );
         }
         alerts

@@ -483,14 +483,18 @@ impl FlowTable {
     }
 
     /// Drain every flow (end of trace), releasing all bytes from the
-    /// budget.
+    /// budget. Deterministic order: flow key — HashMap iteration order
+    /// never leaks.
     pub fn drain(&mut self) -> Vec<Flow> {
         self.unprot_head = None;
         self.unprot_tail = None;
         self.prot_head = None;
         self.prot_tail = None;
         self.protected_now = 0;
-        let flows: Vec<Flow> = self.flows.drain().map(|(_, f)| f).collect();
+        // Cached keys: the 200-byte flows are permuted once, after their
+        // keys are sorted, instead of moved at every step of the sort.
+        let mut flows: Vec<Flow> = self.flows.drain().map(|(_, f)| f).collect();
+        flows.sort_by_cached_key(|f| key_order(&f.key));
         for f in &flows {
             self.budget.release(f.stream.mem_bytes() as u64);
         }
@@ -1178,6 +1182,29 @@ mod tests {
         let drained = t.drain();
         assert_eq!(drained.len(), 1);
         assert!(t.is_empty());
+    }
+
+    /// Each table hashes with its own seed, so two tables fed the same
+    /// flows hold them in different map orders; drain must not leak that.
+    #[test]
+    fn drain_order_is_the_same_in_every_table() {
+        let drained_keys = || -> Vec<FlowKey> {
+            let mut t = FlowTable::default();
+            for i in 0..64u8 {
+                let p = PacketBuilder::new(Ipv4Addr::new(10, 0, 1, i), Ipv4Addr::new(10, 0, 0, 2))
+                    .at(100)
+                    .tcp(4000, 80, 0, 0, TcpFlags::ACK, b"x")
+                    .unwrap();
+                t.process(&p);
+            }
+            t.drain().iter().map(|f| f.key).collect()
+        };
+        let first = drained_keys();
+        assert_eq!(first.len(), 64);
+        assert_eq!(first, drained_keys());
+        assert!(first
+            .windows(2)
+            .all(|w| key_order(&w[0]) < key_order(&w[1])));
     }
 
     #[test]

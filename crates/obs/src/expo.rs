@@ -155,16 +155,12 @@ pub fn render_text(snap: &Snapshot) -> String {
     out.push_str("# TYPE snids_warnings_total counter\n");
     out.push_str(&format!("snids_warnings_total {}\n", snap.warnings));
     out.push_str(
-        "# HELP snids_flight_recorder_events_total Events offered to the flight recorder.\n",
+        "# HELP snids_flight_recorder_events_total Events recorded by the flight recorder.\n",
     );
     out.push_str("# TYPE snids_flight_recorder_events_total counter\n");
     out.push_str(&format!(
         "snids_flight_recorder_events_total {}\n",
         snap.recorder_recorded
-    ));
-    out.push_str(&format!(
-        "snids_flight_recorder_contended_total {}\n",
-        snap.recorder_contended
     ));
     out.push_str(&format!(
         "snids_flight_recorder_capacity {}\n",
@@ -238,8 +234,8 @@ pub fn render_json(snap: &Snapshot) -> String {
     }
     out.push_str(&format!("],\"flow_tracked\":{},", snap.flow_tracked));
     out.push_str(&format!(
-        "\"warnings\":{},\"flight_recorder\":{{\"recorded\":{},\"contended\":{},\"capacity\":{}}}}}",
-        snap.warnings, snap.recorder_recorded, snap.recorder_contended, snap.recorder_capacity
+        "\"warnings\":{},\"flight_recorder\":{{\"recorded\":{},\"capacity\":{}}}}}",
+        snap.warnings, snap.recorder_recorded, snap.recorder_capacity
     ));
     out
 }
@@ -319,18 +315,12 @@ mod tests {
 
     #[test]
     fn flow_latency_family_renders_in_both_expositions() {
-        use crate::flowlat::{FlowId, FlowOutcome};
+        use crate::flowlat::FlowOutcome;
         let obs = Obs::new(8);
-        let id = FlowId {
-            src: std::net::Ipv4Addr::new(10, 0, 0, 1),
-            dst: std::net::Ipv4Addr::new(192, 168, 1, 10),
-            src_port: 1234,
-            dst_port: 80,
-        };
         let mut trail = [0; crate::flowlat::TRAIL_STAGES];
         trail[Stage::Decode as usize] = 900;
         trail[Stage::Prefilter as usize] = 40;
-        obs.flow_settle(id, FlowOutcome::Alerted, &trail);
+        obs.flow_settle(FlowOutcome::Alerted, &trail);
         let snap = obs.snapshot();
         let page = render_text(&snap);
         assert!(page.contains(

@@ -3,11 +3,12 @@
 //! The stage histograms in the registry aggregate globally: they say the
 //! decoder's p99 is high, not *which flows* paid it. This module closes
 //! that gap. Each flow carries a **stage-nanos trail** (total nanoseconds
-//! the flow spent in each per-flow stage) on its own record in the flow
-//! table, and the pipeline settles the trail here exactly once, when the
-//! flow's fate is known. Settling folds it into a per-stage histogram
-//! family labeled by outcome — rendered as `snids_flow_latency_*` — and
-//! keeps the most recent trails for flight-recorder dumps.
+//! the flow spent in each per-flow stage), and the pipeline settles the
+//! trail here exactly once, when the flow's fate is known. Settling folds
+//! it into a per-stage histogram family labeled by outcome — rendered as
+//! `snids_flow_latency_*`. Nothing is kept per flow: the pipeline hands
+//! the trail of an alerted, panicked or evicted flow straight to that
+//! flow's flight dump ([`render_trail`]).
 //!
 //! Only the stages that run *per flow* appear in a trail (pre-filter,
 //! reassembly, and the analysis tail: extract → decode → IR-lift →
@@ -15,35 +16,16 @@
 //! defrag) run before flow identity is cheap to compute and keep their
 //! global aggregation.
 //!
-//! There is no live per-flow map here: the flow table already bounds and
+//! There is no per-flow map here: the flow table already bounds and
 //! evicts flows, so every flow that entered it settles once — analyzed
 //! (`alerted`/`benign`) or not (`dropped`) — and the settled counts do
 //! not depend on the worker count.
 
 use crate::hist::{LogHistogram, BUCKETS};
 use crate::stage::Stage;
-use std::collections::VecDeque;
-use std::net::Ipv4Addr;
-
-/// Settled trails retained for flight-dump enrichment (newest win).
-const MAX_SETTLED_TRAILS: usize = 256;
 
 /// Number of stages a trail covers (indexed by `Stage as usize`).
 pub const TRAIL_STAGES: usize = Stage::ALL.len();
-
-/// Flow identity as the tracker keys it. A deliberate local type: this
-/// crate sits below `snids-flow`, so it cannot name `FlowKey`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowId {
-    /// Initiator address.
-    pub src: Ipv4Addr,
-    /// Responder address.
-    pub dst: Ipv4Addr,
-    /// Initiator port.
-    pub src_port: u16,
-    /// Responder port.
-    pub dst_port: u16,
-}
 
 /// What ultimately happened to a flow — the label axis of the
 /// `snids_flow_latency_*` family.
@@ -82,8 +64,6 @@ pub(crate) struct FlowLatencyTracker {
     /// (stage × outcome) distributions of settled per-flow stage time:
     /// one observation per flow that spent time in the stage.
     dists: Vec<LogHistogram>,
-    /// Recently settled trails, newest last, for flight-dump lookups.
-    settled: VecDeque<(FlowId, FlowOutcome, [u64; TRAIL_STAGES])>,
     /// Flows settled into the family.
     tracked: u64,
 }
@@ -94,7 +74,6 @@ impl Default for FlowLatencyTracker {
             dists: (0..TRAIL_STAGES * FlowOutcome::ALL.len())
                 .map(|_| LogHistogram::default())
                 .collect(),
-            settled: VecDeque::with_capacity(MAX_SETTLED_TRAILS),
             tracked: 0,
         }
     }
@@ -106,7 +85,7 @@ fn cell(stage: Stage, outcome: FlowOutcome) -> usize {
 }
 
 impl FlowLatencyTracker {
-    pub(crate) fn settle(&mut self, id: FlowId, outcome: FlowOutcome, trail: &[u64; TRAIL_STAGES]) {
+    pub(crate) fn settle(&mut self, outcome: FlowOutcome, trail: &[u64; TRAIL_STAGES]) {
         self.tracked += 1;
         for (stage, &nanos) in Stage::ALL.iter().zip(trail) {
             if nanos > 0 {
@@ -115,25 +94,6 @@ impl FlowLatencyTracker {
                 }
             }
         }
-        if self.settled.len() >= MAX_SETTLED_TRAILS {
-            self.settled.pop_front();
-        }
-        self.settled.push_back((id, outcome, *trail));
-    }
-
-    /// Most recent settled trail for `(src, dst, dst_port)` (any source
-    /// port), newest first.
-    pub(crate) fn trail(
-        &self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        dst_port: u16,
-    ) -> Option<(FlowOutcome, [u64; TRAIL_STAGES])> {
-        self.settled
-            .iter()
-            .rev()
-            .find(|(id, _, _)| id.src == src && id.dst == dst && id.dst_port == dst_port)
-            .map(|(_, outcome, trail)| (*outcome, *trail))
     }
 
     pub(crate) fn snapshot(&self) -> (Vec<FlowLatencySnapshot>, u64) {
@@ -210,15 +170,6 @@ pub fn render_trail(outcome: FlowOutcome, trail: &[u64; TRAIL_STAGES]) -> String
 mod tests {
     use super::*;
 
-    fn id(n: u8) -> FlowId {
-        FlowId {
-            src: Ipv4Addr::new(10, 0, 0, n),
-            dst: Ipv4Addr::new(192, 168, 1, 10),
-            src_port: 1000 + n as u16,
-            dst_port: 80,
-        }
-    }
-
     fn trail(charges: &[(Stage, u64)]) -> [u64; TRAIL_STAGES] {
         let mut trail = [0; TRAIL_STAGES];
         for &(stage, nanos) in charges {
@@ -235,8 +186,8 @@ mod tests {
             (Stage::Prefilter, 50),
             (Stage::Decode, 900),
         ]);
-        t.settle(id(1), FlowOutcome::Alerted, &first);
-        t.settle(id(2), FlowOutcome::Benign, &trail(&[(Stage::Decode, 40)]));
+        t.settle(FlowOutcome::Alerted, &first);
+        t.settle(FlowOutcome::Benign, &trail(&[(Stage::Decode, 40)]));
         let (snaps, tracked) = t.snapshot();
         assert_eq!(tracked, 2);
         // prefilter/alerted, decode/alerted, decode/benign.
@@ -249,16 +200,12 @@ mod tests {
         assert_eq!(decode_alerted.sum_nanos, 900);
         assert_eq!(decode_alerted.buckets.iter().sum::<u64>(), 1);
 
-        // The settled trail resolves by (src, dst, dst_port) for dumps.
-        let (outcome, resolved) = t
-            .trail(id(1).src, id(1).dst, id(1).dst_port)
-            .expect("settled trail");
-        assert_eq!(outcome, FlowOutcome::Alerted);
-        assert_eq!(resolved[Stage::Prefilter as usize], 150);
-        let line = render_trail(outcome, &resolved);
-        assert!(line.contains("outcome=alerted"));
-        assert!(line.contains("decode=900"));
-        assert!(line.contains("total=1050"));
-        assert!(t.trail(id(3).src, id(3).dst, 80).is_none());
+        // The dump line names the outcome, the non-zero stages and the
+        // total.
+        assert_eq!(first[Stage::Prefilter as usize], 150);
+        assert_eq!(
+            render_trail(FlowOutcome::Alerted, &first),
+            "  stage-nanos[outcome=alerted] decode=900 prefilter=150 total=1050"
+        );
     }
 }

@@ -22,16 +22,19 @@
 //!   per-stage event/byte counters and latency histograms, named counters
 //!   and gauges, and the flight recorder. Registries are **per pipeline**,
 //!   not process-global, so concurrent pipelines (and parallel tests)
-//!   never cross-contaminate.
-//! * [`recorder::FlightRecorder`] — a fixed-size lock-free ring of recent
-//!   pipeline events tagged with flow identity; when an alert fires or a
-//!   flow is dropped the pipeline dumps the flow's causal trail.
+//!   never share a metric — except the warning count
+//!   (`snids_warnings_total`), which every snapshot reads from the one
+//!   process-wide [`warn`] stream.
+//! * [`recorder::FlightRecorder`] — a bounded ring (a `VecDeque` behind a
+//!   mutex, one writer) of recent pipeline events tagged with flow
+//!   identity; when an alert fires or a flow is dropped the pipeline
+//!   dumps the flow's causal trail.
 //! * [`expo`] — deterministic Prometheus-style text and JSON rendering of
 //!   a [`Snapshot`].
 //! * [`flowlat`] — per-flow, per-stage latency attribution: each flow's
-//!   stage-nanos trail rides on its flow-table record and is settled once
-//!   into an outcome-labeled histogram family (`snids_flow_latency_*`);
-//!   recent trails are appended to flight dumps.
+//!   stage-nanos trail is settled once into an outcome-labeled histogram
+//!   family (`snids_flow_latency_*`), and the trail of an alerted,
+//!   panicked or evicted flow is handed straight to its flight dump.
 //! * [`serve::MetricsServer`] — a minimal blocking TCP responder for
 //!   `--metrics-listen`.
 //! * [`warn`] — the process-wide warning stream (counted, bounded,
@@ -49,7 +52,7 @@ mod registry;
 pub mod serve;
 mod stage;
 
-pub use flowlat::{FlowId, FlowLatencySnapshot, FlowOutcome};
+pub use flowlat::{FlowLatencySnapshot, FlowOutcome};
 pub use recorder::{Event, EventKind, FlightRecorder};
 pub use registry::{Counter, Obs, Snapshot, StageSnapshot, DEFAULT_RECORDER_CAPACITY};
 pub use serve::MetricsServer;

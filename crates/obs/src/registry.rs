@@ -1,11 +1,10 @@
 //! The per-pipeline metrics registry behind the [`Obs`] handle.
 
-use crate::flowlat::{FlowId, FlowLatencySnapshot, FlowLatencyTracker, FlowOutcome, TRAIL_STAGES};
+use crate::flowlat::{FlowLatencySnapshot, FlowLatencyTracker, FlowOutcome, TRAIL_STAGES};
 use crate::hist::LogHistogram;
 use crate::recorder::FlightRecorder;
 use crate::stage::Stage;
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -52,7 +51,7 @@ struct ObsCore {
     /// A `BTreeMap` so exposition order is deterministic.
     named: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     recorder: FlightRecorder,
-    /// Settled per-flow stage-nanos trails and their outcome histograms.
+    /// The outcome histograms of settled per-flow stage-nanos trails.
     flow: Mutex<FlowLatencyTracker>,
 }
 
@@ -60,7 +59,9 @@ struct ObsCore {
 ///
 /// Cloning is an `Arc` bump; every method is safe to call from any thread.
 /// The registry is **per pipeline**: two `Nids` instances in one process
-/// observe into disjoint registries. [`Obs::disabled`] returns a shared
+/// observe into disjoint registries. The one process-wide value in a
+/// [`Snapshot`] is the warning count (`snids_warnings_total`, see
+/// [`crate::warn`]). [`Obs::disabled`] returns a shared
 /// inert handle whose every instrumentation call reduces to one relaxed
 /// atomic load — that is the entire disabled-mode cost.
 #[derive(Debug, Clone)]
@@ -143,32 +144,15 @@ impl Obs {
         &self.core.recorder
     }
 
-    /// Settle flow `id` once its fate is known: fold its stage-nanos
-    /// `trail` into the (stage × `outcome`) histogram family and retain it
-    /// for flight-dump enrichment. Called once per flow, never on the
-    /// per-packet path.
-    pub fn flow_settle(&self, id: FlowId, outcome: FlowOutcome, trail: &[u64; TRAIL_STAGES]) {
+    /// Settle one flow once its fate is known: fold its stage-nanos
+    /// `trail` into the (stage × `outcome`) histogram family. Called once
+    /// per flow, never on the per-packet path.
+    pub fn flow_settle(&self, outcome: FlowOutcome, trail: &[u64; TRAIL_STAGES]) {
         self.core
             .flow
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .settle(id, outcome, trail);
-    }
-
-    /// The most recent settled stage-nanos trail for `(src, dst,
-    /// dst_port)`, if one is retained: the flow's outcome and its
-    /// per-stage nanoseconds.
-    pub fn flow_trail(
-        &self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        dst_port: u16,
-    ) -> Option<(FlowOutcome, [u64; TRAIL_STAGES])> {
-        self.core
-            .flow
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .trail(src, dst, dst_port)
+            .settle(outcome, trail);
     }
 
     /// A deterministic point-in-time copy of every metric.
@@ -213,7 +197,6 @@ impl Obs {
             flow_tracked,
             warnings: crate::warning_count(),
             recorder_recorded: self.core.recorder.recorded(),
-            recorder_contended: self.core.recorder.contended(),
             recorder_capacity: self.core.recorder.capacity(),
         }
     }
@@ -260,10 +243,8 @@ pub struct Snapshot {
     pub flow_tracked: u64,
     /// Process-wide warning count (see [`crate::warn`]).
     pub warnings: u64,
-    /// Flight-recorder events offered.
+    /// Flight-recorder events recorded.
     pub recorder_recorded: u64,
-    /// Flight-recorder events dropped to writer contention.
-    pub recorder_contended: u64,
     /// Flight-recorder capacity.
     pub recorder_capacity: usize,
 }

@@ -2,9 +2,8 @@
 
 /// One stage of the packet-to-alert pipeline, in data-flow order.
 ///
-/// The discriminants are stable (they index metric arrays and are packed
-/// into flight-recorder slots), so new stages must be appended, never
-/// inserted.
+/// The discriminants are stable (they index metric arrays and stage-nanos
+/// trails), so new stages must be appended, never inserted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Stage {
@@ -63,11 +62,6 @@ impl Stage {
             Stage::Prefilter => "prefilter",
         }
     }
-
-    /// Recover a stage from its packed `u8` discriminant.
-    pub fn from_code(code: u8) -> Option<Stage> {
-        Stage::ALL.get(code as usize).copied()
-    }
 }
 
 #[cfg(test)]
@@ -78,10 +72,9 @@ mod tests {
     fn codes_round_trip_and_names_are_distinct() {
         let mut names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
         for (i, s) in Stage::ALL.iter().enumerate() {
-            assert_eq!(*s as u8, i as u8);
-            assert_eq!(Stage::from_code(i as u8), Some(*s));
+            // Trails and the registry index arrays by discriminant.
+            assert_eq!(*s as usize, i);
         }
-        assert_eq!(Stage::from_code(Stage::ALL.len() as u8), None);
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Stage::ALL.len());

@@ -10,12 +10,13 @@ use rand::SeedableRng;
 use snids::core::{DropReason, Nids, NidsConfig};
 use snids::gen::chaos::{chaos_pcap, ChaosConfig};
 use snids::gen::traces::{codered_capture, AddressPlan};
+use snids::obs::json::Value;
 use snids::obs::Stage;
-use snids::packet::PcapReader;
+use snids::packet::{Packet, PacketBuilder, PcapReader, ReadStats, TcpFlags};
 use std::io::Cursor;
 
-/// Run the chaos corpus through an observed pipeline and return it.
-fn observed_chaos_run(seed: u64, chaos: &ChaosConfig) -> Nids {
+/// The chaos corpus as decoded packets, with the reader's accounting.
+fn chaos_corpus(seed: u64, chaos: &ChaosConfig) -> (Vec<Packet>, ReadStats) {
     let plan = AddressPlan::default();
     let mut rng = StdRng::seed_from_u64(seed);
     let (packets, _truth) = codered_capture(&mut rng, &plan, 1200, 3);
@@ -24,15 +25,26 @@ fn observed_chaos_run(seed: u64, chaos: &ChaosConfig) -> Nids {
     let mut reader =
         PcapReader::new(Cursor::new(bytes)).expect("chaos keeps the global header valid");
     let decoded = reader.decode_all().unwrap_or_default();
+    (decoded, reader.read_stats())
+}
 
-    let mut nids = Nids::new(NidsConfig {
+/// The default plan's honeypots and dark net, observed.
+fn observed_config() -> NidsConfig {
+    let plan = AddressPlan::default();
+    NidsConfig {
         honeypots: plan.honeypots.clone(),
         dark_nets: vec![(plan.dark_net, 16)],
         observability: true,
         ..NidsConfig::default()
-    });
+    }
+}
+
+/// Run the chaos corpus through an observed pipeline and return it.
+fn observed_chaos_run(seed: u64, chaos: &ChaosConfig) -> Nids {
+    let (decoded, read_stats) = chaos_corpus(seed, chaos);
+    let mut nids = Nids::new(observed_config());
     nids.process_capture(&decoded);
-    nids.absorb_read_stats(&reader.read_stats());
+    nids.absorb_read_stats(&read_stats);
     nids
 }
 
@@ -160,10 +172,8 @@ fn disabled_pipeline_keeps_obs_silent_under_chaos() {
     let decoded = reader.decode_all().unwrap_or_default();
 
     let mut nids = Nids::new(NidsConfig {
-        honeypots: plan.honeypots.clone(),
-        dark_nets: vec![(plan.dark_net, 16)],
         observability: false,
-        ..NidsConfig::default()
+        ..observed_config()
     });
     nids.process_capture(&decoded);
 
@@ -178,23 +188,32 @@ fn disabled_pipeline_keeps_obs_silent_under_chaos() {
 fn storm_flight_dumps_are_unchanged() {
     // The storm's alert dumps, recorded at the commit before they moved to
     // one indexed copy of the flight ring per `finalize_alerts`: the same
-    // 64 dumps, in the same order, with the same trails. `stage-nanos`
-    // lines are left out: they are wall-clock readings, present only while
-    // the flow's latency trail is still retained.
-    let plan = AddressPlan::default();
+    // 64 dumps, in the same order, with the same trails. Every dump ends
+    // in its alerted flow's `stage-nanos` line, which the digest leaves
+    // out: its numbers are wall-clock readings.
     let packets = snids::gen::corpus::polymorphic_storm(2006, 500, 1000);
     let mut nids = Nids::new(NidsConfig {
-        honeypots: plan.honeypots.clone(),
-        dark_nets: vec![(plan.dark_net, 16)],
         threads: 1,
-        observability: true,
-        ..NidsConfig::default()
+        ..observed_config()
     });
     let alerts = nids.process_capture(&packets);
     assert!(
         alerts.len() > snids::core::MAX_FLIGHT_DUMPS,
         "the storm outruns the dump cap"
     );
+    for dump in nids.flight_dumps() {
+        let trails: Vec<&str> = dump
+            .lines()
+            .filter(|line| line.trim_start().starts_with("stage-nanos["))
+            .collect();
+        assert_eq!(trails.len(), 1, "{dump}");
+        assert!(
+            dump.lines()
+                .last()
+                .is_some_and(|line| line.starts_with("  stage-nanos[outcome=alerted] ")),
+            "{dump}"
+        );
+    }
     let dumps: Vec<String> = nids
         .flight_dumps()
         .iter()
@@ -225,15 +244,11 @@ fn flow_latency_settles_every_flow_at_any_worker_count() {
     // Each settles its stage-nanos trail exactly once, so the family
     // counts every analyzed flow and its counts are the same at every
     // worker count; only the nanosecond readings vary.
-    let plan = AddressPlan::default();
     let packets = snids::gen::corpus::polymorphic_storm(2006, 2100, 0);
     let counts = [1usize, 2, 8].map(|threads| {
         let mut nids = Nids::new(NidsConfig {
-            honeypots: plan.honeypots.clone(),
-            dark_nets: vec![(plan.dark_net, 16)],
             threads,
-            observability: true,
-            ..NidsConfig::default()
+            ..observed_config()
         });
         nids.process_capture(&packets);
         let analyzed = nids.stats().flows_analyzed;
@@ -254,4 +269,142 @@ fn flow_latency_settles_every_flow_at_any_worker_count() {
     });
     assert_eq!(counts[0], counts[1], "1 vs 2 workers");
     assert_eq!(counts[0], counts[2], "1 vs 8 workers");
+}
+
+/// A text-page line with what varies between runs masked: nanosecond
+/// readings become `_`, and timing-bucket lines and the pool's
+/// per-thread self-profile (`snids_pool_*`) go. Every `_count` stays.
+fn mask_metric_line(line: &str) -> Option<String> {
+    if line.starts_with('#') {
+        return Some(line.to_string());
+    }
+    let name = line.split(['{', ' ']).next().unwrap_or_default();
+    if name.starts_with("snids_pool_") || name.ends_with("_bucket") {
+        return None;
+    }
+    if (name.contains("nanos") && !name.ends_with("_count")) || name == "snids_warnings_total" {
+        let (series, _) = line.rsplit_once(' ')?;
+        return Some(format!("{series} _"));
+    }
+    Some(line.to_string())
+}
+
+/// The JSON page's counterpart of [`mask_metric_line`].
+fn mask_json(value: Value) -> Value {
+    match value {
+        Value::Obj(members) => Value::Obj(
+            members
+                .into_iter()
+                .filter(|(key, _)| !key.starts_with("snids_pool_"))
+                .map(|(key, v)| {
+                    let masked = key.ends_with("_nanos") || key == "buckets" || key == "warnings";
+                    let v = if masked { Value::Null } else { mask_json(v) };
+                    (key, v)
+                })
+                .collect(),
+        ),
+        Value::Arr(items) => Value::Arr(items.into_iter().map(mask_json).collect()),
+        other => other,
+    }
+}
+
+/// A flight dump with the digits of its `stage-nanos` line dropped.
+fn mask_dump(dump: &str) -> String {
+    let lines: Vec<String> = dump
+        .lines()
+        .map(|line| {
+            if line.trim_start().starts_with("stage-nanos[") {
+                line.replace(|c: char| c.is_ascii_digit(), "")
+            } else {
+                line.to_string()
+            }
+        })
+        .collect();
+    lines.join("\n")
+}
+
+/// One observed replay's text page, JSON page and flight dumps, masked.
+fn masked_render(config: NidsConfig, packets: &[Packet], read_stats: Option<&ReadStats>) -> String {
+    let mut nids = Nids::new(config);
+    nids.process_capture(packets);
+    if let Some(read_stats) = read_stats {
+        nids.absorb_read_stats(read_stats);
+    }
+    let page: Vec<String> = nids
+        .metrics_page()
+        .lines()
+        .filter_map(mask_metric_line)
+        .collect();
+    let json = snids::obs::json::parse(&nids.metrics_json()).map(mask_json);
+    let dumps: Vec<String> = nids.flight_dumps().iter().map(|d| mask_dump(d)).collect();
+    format!(
+        "{}\n--\n{json:?}\n--\n{}",
+        page.join("\n"),
+        dumps.join("\n\n")
+    )
+}
+
+#[test]
+fn observed_output_is_identical_on_every_run_and_worker_count() {
+    // Four corpora that reach every writer of the flight record: alerts
+    // past the dump cap, chaos faults, unanalyzed count-cap evictions,
+    // and analyze-on-evict under a byte budget. Each replays twice at 1,
+    // 2 and 8 workers; apart from the nanoseconds, the timing buckets,
+    // the pool's per-thread profile and the process-wide warning count,
+    // all six renderings must be byte-identical.
+    let storm = snids::gen::corpus::polymorphic_storm(2006, 500, 1000);
+
+    let (chaos, chaos_read) = chaos_corpus(
+        0xC0DE,
+        &ChaosConfig {
+            flood_flows: 48,
+            ..ChaosConfig::with_rate(0.15)
+        },
+    );
+
+    let target = AddressPlan::default().honeypots[0];
+    let scanner = std::net::Ipv4Addr::new(198, 18, 7, 7);
+    let mut sweep = Vec::new();
+    for (i, port) in (1000u16..1020).enumerate() {
+        let t = 100 + i as u64 * 10;
+        let b = PacketBuilder::new(scanner, target);
+        sweep.push(b.clone().at(t).tcp_syn(4000 + port, port, 1).unwrap());
+        sweep.push(
+            b.at(t + 1)
+                .tcp(4000 + port, port, 2, 0, TcpFlags::ACK, b"probe")
+                .unwrap(),
+        );
+    }
+    let mut evicting = observed_config();
+    evicting.analyze_on_evict = false;
+    evicting.flow_table.max_flows = 1;
+
+    let overload = snids::gen::corpus::overload_capture(41, 6, 96);
+    let mut pressured = observed_config();
+    pressured.memory_budget = 64 * 1024;
+    pressured.flow_table.max_flows = 32;
+
+    let corpora = [
+        ("storm", observed_config(), &storm, None),
+        ("chaos", observed_config(), &chaos, Some(&chaos_read)),
+        ("count-cap evictions", evicting, &sweep, None),
+        ("memory pressure", pressured, &overload, None),
+    ];
+    for (label, config, packets, read_stats) in corpora {
+        let renders = [1usize, 1, 2, 2, 8, 8].map(|threads| {
+            let config = NidsConfig {
+                threads,
+                ..config.clone()
+            };
+            (threads, masked_render(config, packets, read_stats))
+        });
+        let reference = &renders[0].1;
+        for (threads, render) in &renders[1..] {
+            let diverged = reference.lines().zip(render.lines()).find(|(a, b)| a != b);
+            assert!(
+                render == reference,
+                "[{label}] a replay at threads={threads} differs from the first at {diverged:?}"
+            );
+        }
+    }
 }
