@@ -88,7 +88,7 @@ pub fn classifier_ablation(seed: u64, downloads: usize) -> ClassifierAblation {
     let mut rng = StdRng::seed_from_u64(seed);
     let corpus = copy_protected_corpus(&mut rng, downloads);
 
-    let host_style = Nids::new(NidsConfig {
+    let mut host_style = Nids::new(NidsConfig {
         classification_enabled: false,
         ..NidsConfig::default()
     });

@@ -38,7 +38,7 @@ impl Report {
 pub fn run(seed: u64, target_bytes: usize) -> Report {
     let mut rng = StdRng::seed_from_u64(seed);
     let corpus = snids_gen::traces::benign_corpus(&mut rng, target_bytes);
-    let nids = Nids::new(NidsConfig {
+    let mut nids = Nids::new(NidsConfig {
         classification_enabled: false,
         ..NidsConfig::default()
     });

@@ -58,7 +58,7 @@ pub fn run_with_stats(seed: u64, n: usize) -> (Vec<Row>, PipelineStats) {
         let mut rng = StdRng::seed_from_u64(seed);
         let inner = shellcode::execve_variant(&mut rng, 0);
         let payload = decoder_prefixed_payload(&mut rng, &inner);
-        accountant.analyze_payload_accounted(&payload);
+        accountant.analyze_payload(&payload);
         rows.push(Row {
             source: "iis-asp-overflow",
             template_set: "xor template",
@@ -75,7 +75,7 @@ pub fn run_with_stats(seed: u64, n: usize) -> (Vec<Row>, PipelineStats) {
         .map(|_| engine.generate(&mut rng, &inner).0)
         .collect();
     for i in &instances {
-        accountant.analyze_payload_accounted(i);
+        accountant.analyze_payload(i);
     }
     rows.push(Row {
         source: "ADMmutate",
@@ -95,7 +95,7 @@ pub fn run_with_stats(seed: u64, n: usize) -> (Vec<Row>, PipelineStats) {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
     let clet_instances: Vec<Vec<u8>> = (0..n).map(|_| clet.generate(&mut rng, &inner)).collect();
     for i in &clet_instances {
-        accountant.analyze_payload_accounted(i);
+        accountant.analyze_payload(i);
     }
     rows.push(Row {
         source: "Clet",

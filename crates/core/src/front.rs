@@ -5,9 +5,10 @@
 //! thread, after the capture-ordered stages (checksum, defragmentation,
 //! classification) and before the analysis pool. The driver acts on what
 //! [`FrontHalf::track`] hands back, so the packet path, the ledger and the
-//! flight-recorder dumps exist once.
+//! flight-recorder dumps exist once. `track` writes the pre-filter's
+//! verdict counts and both stages' time straight into the ledger.
 
-use crate::stats::DropReason;
+use crate::stats::{DropReason, PipelineStats};
 use crate::{record_event, Alert, NidsConfig};
 use snids_flow::{FlowKey, FlowTable, MemoryBudget, ShedFlow};
 use snids_obs::{EventKind, Obs, Stage};
@@ -16,25 +17,14 @@ use snids_prefilter::{Decision, Lane, Prefilter, PrefilterConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The front half's running totals for the pipeline ledger. The flow
-/// table keeps its own counters, which the driver reads directly.
-#[derive(Default)]
-pub(crate) struct FrontCounters {
-    pub(crate) prefilter_passed: u64,
-    pub(crate) prefilter_escalated: u64,
-    pub(crate) prefilter_rejected: u64,
-    pub(crate) prefilter_nanos: u64,
-    pub(crate) reassembly_nanos: u64,
-}
-
-/// The pre-filter, the flow table and the counters they feed.
+/// The pre-filter and the flow table. The flow table keeps its own
+/// tallies, which the driver reads directly.
 pub(crate) struct FrontHalf {
     prefilter: Option<Prefilter>,
     /// Completed flows leave through [`FlowTable::expire`] and
     /// [`FlowTable::drain`].
     pub(crate) flows: FlowTable,
     obs: Obs,
-    pub(crate) counters: FrontCounters,
 }
 
 impl FrontHalf {
@@ -54,14 +44,14 @@ impl FrontHalf {
             }),
             flows: FlowTable::with_budget(flow_config, budget),
             obs,
-            counters: FrontCounters::default(),
         }
     }
 
     /// Gate one classified-suspicious packet through the pre-filter and,
-    /// when it passes, fold it into its flow. Returns the victims the
-    /// table shed to make room, streams intact, for the driver.
-    pub(crate) fn track(&mut self, packet: &Packet) -> Vec<ShedFlow> {
+    /// when it passes, fold it into its flow, counting the verdict and
+    /// the time in `stats`. Returns the victims the table shed to make
+    /// room, streams intact, for the driver.
+    pub(crate) fn track(&mut self, packet: &Packet, stats: &mut PipelineStats) -> Vec<ShedFlow> {
         let observing = self.obs.enabled();
         let mut prefilter_nanos = 0;
         // Pre-filter fast path: suspicious packets no lane escalates skip
@@ -76,7 +66,7 @@ impl FrontHalf {
                 .is_some_and(|f| f.payload_bytes > 0);
             let decision = pf.decide(packet, flow_buffered);
             prefilter_nanos = t_pf.elapsed().as_nanos() as u64;
-            self.counters.prefilter_nanos += prefilter_nanos;
+            stats.prefilter_nanos += prefilter_nanos;
             if observing {
                 self.obs.record_stage(
                     Stage::Prefilter,
@@ -85,10 +75,11 @@ impl FrontHalf {
                 );
             }
             match decision {
-                Decision::Escalate(Lane::Sticky) => self.counters.prefilter_escalated += 1,
-                Decision::Escalate(_) => self.counters.prefilter_passed += 1,
+                Decision::Escalate(Lane::Sticky) => stats.prefilter_escalated += 1,
+                Decision::Escalate(_) => stats.prefilter_passed += 1,
                 Decision::Reject => {
-                    self.counters.prefilter_rejected += 1;
+                    stats.prefilter_rejected += 1;
+                    stats.drops.inc(DropReason::PrefilterRejected);
                     if observing {
                         record_event(
                             &self.obs,
@@ -109,7 +100,7 @@ impl FrontHalf {
         let t1 = Instant::now();
         let outcome = self.flows.process_tracked(packet);
         let reassembly_nanos = t1.elapsed().as_nanos() as u64;
-        self.counters.reassembly_nanos += reassembly_nanos;
+        stats.reassembly_nanos += reassembly_nanos;
         if observing {
             self.obs.record_stage(
                 Stage::Reassembly,

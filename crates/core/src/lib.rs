@@ -96,11 +96,6 @@ pub struct Nids {
     /// Analyze shed victims on the way out rather than account and
     /// discard them.
     analyze_on_evict: bool,
-    /// Victims analyzed on the way out (total, and the subset shed by the
-    /// byte budget rather than the count cap) — the core's share of the
-    /// shed ledger split.
-    shed_analyzed: u64,
-    shed_analyzed_budget: u64,
     /// Alerts raised by mid-run analyze-on-evict, merged (and totally
     /// ordered) with the end-of-run alerts at the next poll/finish.
     pending_alerts: Vec<Alert>,
@@ -322,8 +317,6 @@ impl Nids {
             alert_trails: HashMap::new(),
             budget,
             analyze_on_evict: config.analyze_on_evict,
-            shed_analyzed: 0,
-            shed_analyzed_budget: 0,
             pending_alerts: Vec::new(),
             last_pressure: PressureLevel::Normal,
         }
@@ -354,26 +347,25 @@ impl Nids {
         self.pool().stats()
     }
 
-    /// Mirror the ledger, the flow-table gauges and pool self-profiling
-    /// into the obs registry so a snapshot is self-contained. A no-op when
-    /// observability is off.
-    fn publish_gauges(&self) {
-        let obs = &self.obs;
-        if !obs.enabled() {
-            return;
-        }
+    /// The named rows of a snapshot: the ledger's counts, then the live
+    /// gauges (budget tracked and level, protected flows, the pool's
+    /// self-profile), sorted by name. Built afresh on every call.
+    fn publish_gauges(&self) -> Vec<(String, u64)> {
         let s = &self.stats;
-        for reason in DropReason::ALL {
-            obs.set_named(&format!("drop.{}", reason.name()), s.drops.get(reason));
+        let pool = self.pool_stats();
+        let mut named = Vec::new();
+        for (reason, n) in s.drops.iter() {
+            named.push((
+                format!("snids_drops_total{{reason=\"{}\"}}", reason.name()),
+                n,
+            ));
         }
         for (lane, rule, n) in &s.lane_hits {
-            obs.set_named(
-                &format!("snids_prefilter_lane_hits_total{{lane=\"{lane}\",rule=\"{rule}\"}}"),
+            named.push((
+                format!("snids_prefilter_lane_hits_total{{lane=\"{lane}\",rule=\"{rule}\"}}"),
                 *n,
-            );
+            ));
         }
-        let flows = &self.front.flows;
-        let pool = self.pool_stats();
         for (name, value) in [
             ("snids_packets_total", s.packets),
             ("snids_processed_total", s.processed),
@@ -382,36 +374,48 @@ impl Nids {
             ("snids_prefilter_passed_total", s.prefilter_passed),
             ("snids_prefilter_escalated_total", s.prefilter_escalated),
             ("snids_prefilter_rejected_total", s.prefilter_rejected),
-            ("snids_budget_limit_bytes", self.budget.limit()),
+            ("snids_budget_limit_bytes", s.memory_limit_bytes),
             ("snids_budget_tracked_bytes", self.budget.tracked()),
-            ("snids_budget_peak_bytes", self.budget.peak()),
+            ("snids_budget_peak_bytes", s.peak_tracked_bytes),
             ("snids_budget_pressure_level", self.budget.level().code()),
-            ("snids_flows_protected", flows.protected_len() as u64),
+            ("snids_watermark_transitions_total", s.watermark_transitions),
+            (
+                "snids_flows_protected",
+                self.front.flows.protected_len() as u64,
+            ),
             ("snids_flows_degraded_total", s.degraded_flows),
-            ("snids_flows_shed_total", flows.evicted()),
+            ("snids_flows_shed_total", self.front.flows.evicted()),
+            ("snids_dataflow_frames_total", s.dataflow_frames),
+            ("snids_dataflow_recovered_total", s.dataflow_recovered),
+            (
+                "snids_dataflow_exhausted_total",
+                s.drops.get(DropReason::DataflowExhausted),
+            ),
+            ("snids_dataflow_alt_views_total", s.dataflow_alt_views),
             ("snids_pool_threads", pool.threads as u64),
             ("snids_pool_tasks_panicked_total", pool.tasks_panicked),
         ] {
-            obs.set_named(name, value);
+            named.push((name.to_string(), value));
         }
         for (i, w) in pool.workers.iter().enumerate() {
-            obs.set_named(
-                &format!("snids_pool_tasks_total{{thread=\"{i}\"}}"),
-                w.tasks,
-            );
-            obs.set_named(
-                &format!("snids_pool_busy_nanos_total{{thread=\"{i}\"}}"),
+            named.push((format!("snids_pool_tasks_total{{thread=\"{i}\"}}"), w.tasks));
+            named.push((
+                format!("snids_pool_busy_nanos_total{{thread=\"{i}\"}}"),
                 w.busy_nanos,
-            );
+            ));
         }
+        named.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        named
     }
 
-    /// A deterministic point-in-time metrics snapshot (ledger freshly
-    /// merged, gauges and pool stats freshly mirrored in).
+    /// A deterministic point-in-time metrics snapshot: the registry's own
+    /// measurements, plus the freshly merged ledger and the live gauges
+    /// as named rows.
     pub fn obs_snapshot(&mut self) -> snids_obs::Snapshot {
         self.sync_ledger();
-        self.publish_gauges();
-        self.obs.snapshot()
+        let mut snap = self.obs.snapshot();
+        snap.named = self.publish_gauges();
+        snap
     }
 
     /// The Prometheus-style text exposition page for this pipeline.
@@ -495,11 +499,12 @@ impl Nids {
         Nids::new(NidsConfig::default())
     }
 
-    /// Pipeline statistics. The driver's own counters (packets,
-    /// classification, analysis) are live; the whole ledger — pre-filter,
-    /// reassembly, shed and defragmentation figures merged in — is
-    /// authoritative after [`Nids::poll`], [`Nids::finish`],
-    /// [`Nids::absorb_read_stats`] and [`Nids::obs_snapshot`].
+    /// Pipeline statistics. Every count the pipeline decides itself
+    /// (packets, classification, pre-filter, reassembly time, sheds,
+    /// analysis) is live; the tallies the flow table, the defragmenter and
+    /// the memory budget keep are merged in by [`Nids::poll`],
+    /// [`Nids::finish`], [`Nids::absorb_read_stats`] and
+    /// [`Nids::obs_snapshot`].
     pub fn stats(&self) -> &PipelineStats {
         &self.stats
     }
@@ -511,26 +516,20 @@ impl Nids {
         self.sync_ledger();
     }
 
-    /// Merge the front's counters, the flow table's and defragmenter's
-    /// tallies and the shed attribution into the ledger. All sources are
-    /// cumulative, so this sets rather than adds.
+    /// Read into the ledger the tallies other parts own: the flow
+    /// table's, the defragmenter's, the memory budget's and the
+    /// pre-filter's per-rule hits. All are cumulative, so this sets
+    /// rather than adds.
     fn sync_ledger(&mut self) {
-        let front = &self.front.counters;
         let flows = &self.front.flows;
         let s = &mut self.stats;
-        s.prefilter_passed = front.prefilter_passed;
-        s.prefilter_escalated = front.prefilter_escalated;
-        s.prefilter_rejected = front.prefilter_rejected;
-        s.prefilter_nanos = front.prefilter_nanos;
         s.lane_hits = self.front.lane_hits();
-        s.reassembly_nanos = front.reassembly_nanos;
         s.overlap_conflict_bytes = flows.overlap_conflict_bytes();
         s.degraded_flows = flows.degraded_flows();
         s.memory_limit_bytes = self.budget.limit();
         s.peak_tracked_bytes = self.budget.peak();
         let ds = self.defrag.stats();
         for (reason, n) in [
-            (DropReason::PrefilterRejected, front.prefilter_rejected),
             (DropReason::StreamTruncated, flows.truncated_flows()),
             (DropReason::DefragCapExceeded, ds.cap_exceeded),
             (DropReason::DefragOversize, ds.oversize),
@@ -540,36 +539,18 @@ impl Nids {
         ] {
             s.drops.set(reason, n);
         }
-        // Shed attribution: victims analyzed on the way out land under
-        // `shed_analyzed` (the detection opportunity survived); discarded
-        // victims keep the seed's `flow_evicted` name for count-cap
-        // evictions and `shed_unanalyzed` for byte-budget sheds.
-        let by_budget = flows.evicted_by_budget();
-        let analyzed_count_cap = self.shed_analyzed.saturating_sub(self.shed_analyzed_budget);
-        s.drops.set(DropReason::ShedAnalyzed, self.shed_analyzed);
-        s.drops.set(
-            DropReason::ShedUnanalyzed,
-            by_budget.saturating_sub(self.shed_analyzed_budget),
-        );
-        s.drops.set(
-            DropReason::FlowEvicted,
-            flows
-                .evicted()
-                .saturating_sub(by_budget)
-                .saturating_sub(analyzed_count_cap),
-        );
     }
 
-    /// Record a watermark-transition flight event when the pressure level
-    /// changed since the last check.
+    /// Count a watermark transition, and record its flight event, when
+    /// the pressure level changed since the last check.
     fn note_pressure(&mut self) {
         let level = self.budget.level();
         if level == self.last_pressure {
             return;
         }
         self.last_pressure = level;
+        self.stats.watermark_transitions += 1;
         if self.obs.enabled() {
-            self.obs.counter("snids_watermark_transitions_total").add(1);
             self.obs.recorder().record(Event {
                 seq: 0,
                 stage: Stage::Reassembly,
@@ -584,17 +565,26 @@ impl Nids {
         }
     }
 
-    /// Act on the victims the table shed under pressure. Analyze-on-evict
-    /// runs them through the normal analysis path, buffers their alerts
-    /// for the next poll/finish, and feeds alerting sources back into the
+    /// Act on the victims the table shed under pressure, charging each to
+    /// one shed reason. Analyze-on-evict (`shed_analyzed`) runs them
+    /// through the normal analysis path, buffers their alerts for the
+    /// next poll/finish, and feeds alerting sources back into the
     /// protection tier so the governor never evicts a source it has seen
-    /// attack. Otherwise each unanalyzed victim is the end of its flow's
-    /// story: it settles as dropped and its flight trail is dumped.
+    /// attack. Otherwise each unanalyzed victim — `shed_unanalyzed` when
+    /// the byte budget shed it, `flow_evicted` when the count cap did —
+    /// is the end of its flow's story: it settles as dropped and its
+    /// flight trail is dumped.
     fn handle_shed(&mut self, shed: Vec<ShedFlow>) {
         if shed.is_empty() {
             return;
         }
         if !self.analyze_on_evict {
+            for s in &shed {
+                self.stats.drops.inc(match s.cause {
+                    ShedCause::ByteBudget => DropReason::ShedUnanalyzed,
+                    ShedCause::CountCap => DropReason::FlowEvicted,
+                });
+            }
             if self.obs.enabled() {
                 let victims: Vec<FlowRecord> =
                     shed.iter().map(|s| FlowRecord::front(&s.flow)).collect();
@@ -605,13 +595,12 @@ impl Nids {
             }
             return;
         }
+        self.stats
+            .drops
+            .add(DropReason::ShedAnalyzed, shed.len() as u64);
         let observing = self.obs.enabled();
         let mut flows = Vec::with_capacity(shed.len());
         for s in shed {
-            self.shed_analyzed += 1;
-            if s.cause == ShedCause::ByteBudget {
-                self.shed_analyzed_budget += 1;
-            }
             if observing {
                 record_event(
                     &self.obs,
@@ -661,7 +650,9 @@ impl Nids {
     /// when its datagram completes) or a packet-level drop counter.
     pub fn process_packet(&mut self, packet: &Packet) {
         if let Ingest::Suspicious(whole) = self.ingest(packet) {
-            let shed = self.front.track(whole.as_ref().unwrap_or(packet));
+            let shed = self
+                .front
+                .track(whole.as_ref().unwrap_or(packet), &mut self.stats);
             self.handle_shed(shed);
         }
         self.note_pressure();
@@ -788,21 +779,10 @@ impl Nids {
     /// Stages 3–5 for one application payload: extraction, disassembly,
     /// IR and template matching. Usable directly for standalone binaries
     /// (the paper's Netsky datapoints) and by the benchmark harness.
-    pub fn analyze_payload(&self, payload: &[u8]) -> Vec<TemplateMatch> {
-        let frames = self.extractor.extract(payload);
-        let mut out = Vec::new();
-        for frame in frames {
-            let data = &frame.data[..frame.data.len().min(self.max_frame_bytes)];
-            out.extend(self.analyzer.analyze_frame(data).matches);
-        }
-        out
-    }
-
-    /// [`Nids::analyze_payload`] with ledger accounting: frames, frame
-    /// bytes and decoder bailouts land in [`PipelineStats`] so standalone
-    /// payload experiments (Table 2) carry the same integrity footer as
-    /// capture runs.
-    pub fn analyze_payload_accounted(&mut self, payload: &[u8]) -> Vec<TemplateMatch> {
+    /// Frames, frame bytes and decoder bailouts land in [`PipelineStats`],
+    /// so standalone payload experiments (Table 2) carry the same
+    /// integrity footer as capture runs.
+    pub fn analyze_payload(&mut self, payload: &[u8]) -> Vec<TemplateMatch> {
         let t0 = Instant::now();
         let frames = self.extractor.extract(payload);
         let mut out = Vec::new();
@@ -1066,20 +1046,9 @@ impl Nids {
         self.stats
             .drops
             .add(DropReason::DataflowExhausted, total.dataflow_exhausted);
-        if observing && total.dataflow_frames > 0 {
-            self.obs
-                .counter("snids_dataflow_frames_total")
-                .add(total.dataflow_frames);
-            self.obs
-                .counter("snids_dataflow_recovered_total")
-                .add(total.dataflow_recovered);
-            self.obs
-                .counter("snids_dataflow_exhausted_total")
-                .add(total.dataflow_exhausted);
-            self.obs
-                .counter("snids_dataflow_alt_views_total")
-                .add(total.alt_views);
-        }
+        self.stats.dataflow_frames += total.dataflow_frames;
+        self.stats.dataflow_recovered += total.dataflow_recovered;
+        self.stats.dataflow_alt_views += total.alt_views;
         if observing {
             self.observe_analyzed(&total.records);
         }
@@ -1602,7 +1571,7 @@ mod tests {
             },
             ..snids_semantic::AnalyzerConfig::default()
         });
-        nids.analyze_payload_accounted(&blob);
+        nids.analyze_payload(&blob);
         assert!(
             nids.stats().drops.get(DropReason::DecoderBailout) >= 1,
             "{:?}",
@@ -1686,17 +1655,24 @@ mod tests {
         // p99 may overshoot the exact max.
         assert!(cap.p50_nanos <= cap.p99_nanos && cap.max_nanos > 0);
 
-        // The mirrored drop gauges agree with the ledger.
+        // Every drop reason is a row of the one drop family, rendered
+        // from the ledger.
+        let mut matched = 0;
         for (name, value) in &snap.named {
-            if let Some(reason) = name.strip_prefix("drop.") {
-                let ledger = DropReason::ALL
-                    .iter()
-                    .find(|r| r.name() == reason)
-                    .map(|r| nids.stats().drops.get(*r))
-                    .unwrap_or(0);
-                assert_eq!(*value, ledger, "{name}");
-            }
+            let Some(reason) = name
+                .strip_prefix("snids_drops_total{reason=\"")
+                .and_then(|rest| rest.strip_suffix("\"}"))
+            else {
+                continue;
+            };
+            let ledger = DropReason::ALL
+                .iter()
+                .find(|r| r.name() == reason)
+                .map(|r| nids.stats().drops.get(*r));
+            assert_eq!(Some(*value), ledger, "{name}");
+            matched += 1;
         }
+        assert_eq!(matched, DropReason::ALL.len());
 
         // Both exposition formats render and are deterministic.
         let page = nids.metrics_page();
@@ -1795,6 +1771,18 @@ mod tests {
             nids.process_packet(&probe);
         }
         nids.finish();
+        // Both victims were shed by the count cap and not analyzed.
+        let s = nids.stats();
+        assert_eq!(nids.front.flows.evicted(), 2);
+        assert_eq!(
+            [
+                DropReason::ShedAnalyzed,
+                DropReason::ShedUnanalyzed,
+                DropReason::FlowEvicted
+            ]
+            .map(|r| s.drops.get(r)),
+            [0, 0, 2]
+        );
         let snap = nids.obs_snapshot();
         assert_eq!(snap.flow_tracked, 3, "two victims and one analyzed flow");
         let dropped = |stage| {
@@ -1954,6 +1942,18 @@ mod tests {
             "{}",
             s.drop_report()
         );
+        // The byte budget (the count cap is out of reach) shed the
+        // victims, and each was analyzed.
+        let evicted = nids.front.flows.evicted();
+        assert_eq!(
+            [
+                DropReason::ShedAnalyzed,
+                DropReason::ShedUnanalyzed,
+                DropReason::FlowEvicted
+            ]
+            .map(|r| s.drops.get(r)),
+            [evicted, 0, 0]
+        );
         assert!(s.peak_tracked_bytes > 0);
         assert!(
             s.peak_tracked_bytes <= 48 * 1024,
@@ -1993,7 +1993,7 @@ mod tests {
     /// The direct payload path works for standalone binaries.
     #[test]
     fn standalone_binary_analysis() {
-        let nids = Nids::with_defaults();
+        let mut nids = Nids::with_defaults();
         let mut rng = StdRng::seed_from_u64(10);
         let blob = snids_gen::binaries::netsky_like(&mut rng, 8 * 1024);
         assert!(nids.analyze_payload(&blob).is_empty());

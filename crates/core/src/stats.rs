@@ -266,6 +266,18 @@ pub struct PipelineStats {
     /// Flows created with degraded caps while the budget sat at or above
     /// high water.
     pub degraded_flows: u64,
+    /// Changes of the memory budget's pressure level (watermark
+    /// crossings, either way).
+    pub watermark_transitions: u64,
+    /// Frames the dataflow second pass examined (primary and alternative
+    /// stream views).
+    pub dataflow_frames: u64,
+    /// Flows only the dataflow second pass alerted on: detections the
+    /// fast matcher alone would have missed.
+    pub dataflow_recovered: u64,
+    /// Flows whose retained divergent-overlap shadow gave the second pass
+    /// an alternative stream view.
+    pub dataflow_alt_views: u64,
     /// Time in the classifier stage.
     pub classify_nanos: u64,
     /// Time in flow tracking / reassembly.
@@ -327,6 +339,10 @@ impl PipelineStats {
         self.memory_limit_bytes = self.memory_limit_bytes.max(other.memory_limit_bytes);
         self.peak_tracked_bytes = self.peak_tracked_bytes.max(other.peak_tracked_bytes);
         self.degraded_flows += other.degraded_flows;
+        self.watermark_transitions += other.watermark_transitions;
+        self.dataflow_frames += other.dataflow_frames;
+        self.dataflow_recovered += other.dataflow_recovered;
+        self.dataflow_alt_views += other.dataflow_alt_views;
         for (reason, n) in other.drops.iter() {
             self.drops.add(reason, n);
         }
@@ -407,6 +423,18 @@ impl PipelineStats {
                 self.degraded_flows
             ));
         }
+        if self.watermark_transitions > 0 {
+            out.push_str(&format!(
+                "  budget.watermark_transitions = {}\n",
+                self.watermark_transitions
+            ));
+        }
+        if self.dataflow_frames > 0 {
+            out.push_str(&format!(
+                "  dataflow: frames={} recovered={} alt_views={}\n",
+                self.dataflow_frames, self.dataflow_recovered, self.dataflow_alt_views
+            ));
+        }
         if self.prefilter_passed + self.prefilter_escalated + self.prefilter_rejected > 0 {
             out.push_str(&format!(
                 "  prefilter: passed={} escalated={} rejected={} (reject ratio {:.1}%)\n",
@@ -470,7 +498,7 @@ impl PipelineStats {
             lane_hits,
         );
         format!(
-            "{{\"records_in\":{},\"packets\":{},\"processed\":{},\"suspicious_packets\":{},\"flows_analyzed\":{},\"frames_extracted\":{},\"frame_bytes\":{},\"alerts\":{},\"overlap_conflict_bytes\":{},\"memory_limit_bytes\":{},\"peak_tracked_bytes\":{},\"degraded_flows\":{},\"prefilter\":{},\"drops\":{},\"drops_total\":{},\"classify_nanos\":{},\"reassembly_nanos\":{},\"analysis_nanos\":{}}}",
+            "{{\"records_in\":{},\"packets\":{},\"processed\":{},\"suspicious_packets\":{},\"flows_analyzed\":{},\"frames_extracted\":{},\"frame_bytes\":{},\"alerts\":{},\"overlap_conflict_bytes\":{},\"memory_limit_bytes\":{},\"peak_tracked_bytes\":{},\"degraded_flows\":{},\"watermark_transitions\":{},\"dataflow_frames\":{},\"dataflow_recovered\":{},\"dataflow_alt_views\":{},\"prefilter\":{},\"drops\":{},\"drops_total\":{},\"classify_nanos\":{},\"reassembly_nanos\":{},\"analysis_nanos\":{}}}",
             self.records_in,
             self.packets,
             self.processed,
@@ -483,6 +511,10 @@ impl PipelineStats {
             self.memory_limit_bytes,
             self.peak_tracked_bytes,
             self.degraded_flows,
+            self.watermark_transitions,
+            self.dataflow_frames,
+            self.dataflow_recovered,
+            self.dataflow_alt_views,
             prefilter,
             drops,
             self.drops.total(),
@@ -621,6 +653,25 @@ mod tests {
         assert_eq!(s.memory_limit_bytes, 1000, "limit merges as max");
         assert_eq!(s.peak_tracked_bytes, 2000, "peak merges as max");
         assert_eq!(s.degraded_flows, 3);
+    }
+
+    #[test]
+    fn dataflow_and_watermark_counts_surface_and_merge() {
+        let mut s = PipelineStats::default();
+        assert!(!s.drop_report().contains("dataflow:"));
+        assert!(!s.drop_report().contains("watermark_transitions"));
+        s.watermark_transitions = 2;
+        s.dataflow_frames = 5;
+        s.dataflow_recovered = 1;
+        s.dataflow_alt_views = 3;
+        s.merge(&s.clone());
+        assert!(s.drop_report().contains("budget.watermark_transitions = 4"));
+        assert!(s
+            .drop_report()
+            .contains("dataflow: frames=10 recovered=2 alt_views=6"));
+        assert!(s.to_json().contains(
+            "\"watermark_transitions\":4,\"dataflow_frames\":10,\"dataflow_recovered\":2,\"dataflow_alt_views\":6,"
+        ));
     }
 
     #[test]

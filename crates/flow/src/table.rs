@@ -207,7 +207,6 @@ pub struct FlowTable {
     /// Victims awaiting [`FlowTable::take_shed`].
     shed_queue: Vec<ShedFlow>,
     evicted: u64,
-    evicted_by_budget: u64,
     degraded_flows: u64,
     truncated_flows: u64,
     overlap_conflict_bytes: u64,
@@ -239,7 +238,6 @@ impl FlowTable {
             protect_sources: HashSet::new(),
             shed_queue: Vec::new(),
             evicted: 0,
-            evicted_by_budget: 0,
             degraded_flows: 0,
             truncated_flows: 0,
             overlap_conflict_bytes: 0,
@@ -267,12 +265,6 @@ impl FlowTable {
     /// detection gap.
     pub fn evicted(&self) -> u64 {
         self.evicted
-    }
-
-    /// The subset of [`FlowTable::evicted`] shed by the byte budget's
-    /// critical watermark (the rest were count-cap evictions).
-    pub fn evicted_by_budget(&self) -> u64 {
-        self.evicted_by_budget
     }
 
     /// Flows created with degraded caps because the budget sat at or
@@ -609,9 +601,6 @@ impl FlowTable {
         }
         self.budget.release(flow.stream.mem_bytes() as u64);
         self.evicted += 1;
-        if cause == ShedCause::ByteBudget {
-            self.evicted_by_budget += 1;
-        }
         let unprotected_available =
             (self.flows.len() - self.protected_now).saturating_sub(exclude_unprot);
         if self.config.hand_off_shed {

@@ -23,7 +23,8 @@ const QUANTILES: [(&str, QuantileSelector); 3] = [
 ///
 /// Named counters whose names already embed a label set (e.g.
 /// `snids_pool_tasks_total{thread="0"}`) are emitted verbatim; plain names
-/// get no labels.
+/// get no labels. Each named family is typed by its name: `_total` is a
+/// counter, anything else a gauge.
 pub fn render_text(snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("# HELP snids_stage_events_total Events handled per pipeline stage.\n");
@@ -148,7 +149,21 @@ pub fn render_text(snap: &Snapshot) -> String {
         "snids_flow_latency_tracked_flows {}\n",
         snap.flow_tracked
     ));
+    // Named rows are sorted, so each family's rows are contiguous: one
+    // HELP/TYPE pair heads them, a counter when the name says `_total`.
+    let mut family = "";
     for (name, value) in &snap.named {
+        let base = name.split('{').next().unwrap_or(name);
+        if base != family {
+            family = base;
+            let kind = if base.ends_with("_total") {
+                "counter"
+            } else {
+                "gauge"
+            };
+            out.push_str(&format!("# HELP {base} Pipeline {kind}.\n"));
+            out.push_str(&format!("# TYPE {base} {kind}\n"));
+        }
         out.push_str(&format!("{name} {value}\n"));
     }
     out.push_str("# HELP snids_warnings_total Process-level configuration warnings emitted.\n");
@@ -246,19 +261,24 @@ mod tests {
     use crate::registry::Obs;
     use crate::stage::Stage;
 
-    fn sample() -> Obs {
+    fn sample() -> Snapshot {
         let obs = Obs::new(8);
         obs.record_stage(Stage::Capture, 120, 60);
         obs.record_stage(Stage::Capture, 90, 40);
         obs.record_stage(Stage::TemplateMatch, 5000, 512);
-        obs.counter("snids_pool_tasks_total{thread=\"0\"}").add(7);
-        obs.counter("drop.truncated_segment").add(2);
-        obs
+        let mut snap = obs.snapshot();
+        snap.named = vec![
+            ("snids_drops_total{reason=\"a\"}".to_string(), 2),
+            ("snids_drops_total{reason=\"b\"}".to_string(), 0),
+            ("snids_pool_tasks_total{thread=\"0\"}".to_string(), 7),
+            ("snids_pool_threads".to_string(), 1),
+        ];
+        snap
     }
 
     #[test]
     fn text_page_contains_stages_quantiles_and_named() {
-        let page = render_text(&sample().snapshot());
+        let page = render_text(&sample());
         assert!(page.contains("snids_stage_events_total{stage=\"capture\"} 2"));
         assert!(page.contains("snids_stage_bytes_total{stage=\"capture\"} 100"));
         assert!(
@@ -266,8 +286,14 @@ mod tests {
         );
         assert!(page.contains("snids_stage_latency_nanos_count{stage=\"capture\"} 2"));
         assert!(page.contains("snids_pool_tasks_total{thread=\"0\"} 7"));
-        assert!(page.contains("drop.truncated_segment 2"));
         assert!(page.contains("snids_flight_recorder_capacity 8"));
+        // One HELP/TYPE pair per named family, typed by its name.
+        assert!(page.contains(
+            "# TYPE snids_drops_total counter\nsnids_drops_total{reason=\"a\"} 2\nsnids_drops_total{reason=\"b\"} 0\n"
+        ));
+        assert_eq!(page.matches("# TYPE snids_drops_total ").count(), 1);
+        assert_eq!(page.matches("# HELP snids_drops_total ").count(), 1);
+        assert!(page.contains("# TYPE snids_pool_threads gauge\nsnids_pool_threads 1\n"));
     }
 
     #[test]
@@ -343,15 +369,14 @@ mod tests {
 
     #[test]
     fn renders_are_deterministic() {
-        let obs = sample();
-        let snap = obs.snapshot();
-        assert_eq!(render_text(&snap), render_text(&obs.snapshot()));
-        assert_eq!(render_json(&snap), render_json(&obs.snapshot()));
+        let snap = sample();
+        assert_eq!(render_text(&snap), render_text(&sample()));
+        assert_eq!(render_json(&snap), render_json(&sample()));
     }
 
     #[test]
     fn json_is_structurally_sound() {
-        let doc = render_json(&sample().snapshot());
+        let doc = render_json(&sample());
         assert!(doc.starts_with('{') && doc.ends_with('}'));
         assert_eq!(
             doc.matches('{').count(),

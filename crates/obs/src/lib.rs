@@ -19,8 +19,10 @@
 //! * [`hist::LogHistogram`] — lock-free log₂-bucketed latency histogram
 //!   with p50/p90/p99/max readout.
 //! * [`Obs`] — a cheaply clonable handle over the per-pipeline registry:
-//!   per-stage event/byte counters and latency histograms, named counters
-//!   and gauges, and the flight recorder. Registries are **per pipeline**,
+//!   per-stage event/byte counters and latency histograms, per-flow
+//!   latency, and the flight recorder. A [`Snapshot`]'s `named` rows
+//!   (ledger counts and live gauges) are filled by the pipeline that owns
+//!   the registry, at snapshot time; the registry keeps none. Registries are **per pipeline**,
 //!   not process-global, so concurrent pipelines (and parallel tests)
 //!   never share a metric — except the warning count
 //!   (`snids_warnings_total`), which every snapshot reads from the one
@@ -54,7 +56,7 @@ mod stage;
 
 pub use flowlat::{FlowLatencySnapshot, FlowOutcome};
 pub use recorder::{Event, EventKind, FlightRecorder};
-pub use registry::{Counter, Obs, Snapshot, StageSnapshot, DEFAULT_RECORDER_CAPACITY};
+pub use registry::{Obs, Snapshot, StageSnapshot, DEFAULT_RECORDER_CAPACITY};
 pub use serve::MetricsServer;
 pub use stage::Stage;
 

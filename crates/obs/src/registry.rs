@@ -4,7 +4,6 @@ use crate::flowlat::{FlowLatencySnapshot, FlowLatencyTracker, FlowOutcome, TRAIL
 use crate::hist::LogHistogram;
 use crate::recorder::FlightRecorder;
 use crate::stage::Stage;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -20,36 +19,10 @@ struct StageMetrics {
     latency: LogHistogram,
 }
 
-/// A handle to one named counter (shared, wait-free).
-#[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite with an absolute value (for mirroring a cumulative tally
-    /// kept elsewhere).
-    pub fn set(&self, n: u64) {
-        self.0.store(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[derive(Debug)]
 struct ObsCore {
     enabled: AtomicBool,
     stages: [StageMetrics; Stage::ALL.len()],
-    /// Named counters and gauges, keyed by metric name (may embed a
-    /// Prometheus label set, e.g. `snids_pool_tasks_total{thread="0"}`).
-    /// A `BTreeMap` so exposition order is deterministic.
-    named: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     recorder: FlightRecorder,
     /// The outcome histograms of settled per-flow stage-nanos trails.
     flow: Mutex<FlowLatencyTracker>,
@@ -77,7 +50,6 @@ impl Obs {
             core: Arc::new(ObsCore {
                 enabled: AtomicBool::new(true),
                 stages: Default::default(),
-                named: Mutex::new(BTreeMap::new()),
                 recorder: FlightRecorder::new(recorder_capacity),
                 flow: Mutex::new(FlowLatencyTracker::default()),
             }),
@@ -122,23 +94,6 @@ impl Obs {
             .load(Ordering::Relaxed)
     }
 
-    /// A named counter, created on first use. Resolve once and keep the
-    /// [`Counter`] handle; the lookup takes the registry mutex.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut named = self.core.named.lock().unwrap_or_else(|e| e.into_inner());
-        Counter(Arc::clone(
-            named
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        ))
-    }
-
-    /// Set a named gauge/counter to an absolute value (lookup + store;
-    /// meant for snapshot-time mirroring, not hot paths).
-    pub fn set_named(&self, name: &str, value: u64) {
-        self.counter(name).set(value);
-    }
-
     /// The flight recorder.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.core.recorder
@@ -155,7 +110,9 @@ impl Obs {
             .settle(outcome, trail);
     }
 
-    /// A deterministic point-in-time copy of every metric.
+    /// A deterministic point-in-time copy of what the registry measures
+    /// itself. `named` is left empty for the pipeline that owns the
+    /// registry to fill from its ledger and gauges.
     pub fn snapshot(&self) -> Snapshot {
         let stages = Stage::ALL
             .iter()
@@ -175,14 +132,6 @@ impl Obs {
                 }
             })
             .collect();
-        let named = self
-            .core
-            .named
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
         let (flow_latency, flow_tracked) = self
             .core
             .flow
@@ -192,7 +141,7 @@ impl Obs {
         Snapshot {
             enabled: self.enabled(),
             stages,
-            named,
+            named: Vec::new(),
             flow_latency,
             flow_tracked,
             warnings: crate::warning_count(),
@@ -234,7 +183,10 @@ pub struct Snapshot {
     pub enabled: bool,
     /// Per-stage metrics, in pipeline order.
     pub stages: Vec<StageSnapshot>,
-    /// Named counters and gauges, sorted by name.
+    /// Counters and gauges kept outside the registry, sorted by name (a
+    /// name may embed a Prometheus label set, e.g.
+    /// `snids_pool_tasks_total{thread="0"}`). Empty from
+    /// [`Obs::snapshot`].
     pub named: Vec<(String, u64)>,
     /// Per-flow per-stage latency distributions by outcome (only
     /// combinations with settled flows, in (stage, outcome) order).
@@ -276,21 +228,6 @@ mod tests {
         assert_eq!(classify.max_nanos, 300);
         assert_eq!(obs.stage_events(Stage::Classify), 2);
         assert_eq!(snap.stages[Stage::Capture as usize].events, 0);
-    }
-
-    #[test]
-    fn named_counters_are_shared_and_sorted() {
-        let obs = Obs::new(8);
-        let c = obs.counter("zzz_total");
-        c.add(3);
-        obs.counter("aaa_total").add(1);
-        // Same name resolves to the same cell.
-        obs.counter("zzz_total").add(4);
-        assert_eq!(c.get(), 7);
-        let snap = obs.snapshot();
-        let names: Vec<&str> = snap.named.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["aaa_total", "zzz_total"]);
-        assert_eq!(snap.named[1].1, 7);
     }
 
     #[test]

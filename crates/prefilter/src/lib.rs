@@ -140,35 +140,6 @@ impl PrefilterConfig {
     }
 }
 
-/// Per-lane escalation counters plus the reject total.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LaneCounters {
-    /// Empty-payload control escalations.
-    pub control: u64,
-    /// Sticky-source / buffered-flow escalations.
-    pub sticky: u64,
-    /// Header-lane escalations.
-    pub header: u64,
-    /// Signature-lane escalations.
-    pub signature: u64,
-    /// N-gram-lane escalations.
-    pub ngram: u64,
-    /// Rejections.
-    pub rejected: u64,
-}
-
-impl LaneCounters {
-    /// Escalations across all lanes.
-    pub fn escalated(&self) -> u64 {
-        self.control + self.sticky + self.header + self.signature + self.ngram
-    }
-
-    /// All decisions made.
-    pub fn total(&self) -> u64 {
-        self.escalated() + self.rejected
-    }
-}
-
 /// The assembled three-lane gate. One instance per [`Nids`] pipeline;
 /// the sticky-source set is the only mutable state.
 ///
@@ -179,7 +150,6 @@ pub struct Prefilter {
     sigs: RuleSet,
     ngram: NgramScorer,
     sticky: HashSet<Ipv4Addr>,
-    counters: LaneCounters,
     rule_hits: BTreeMap<(&'static str, &'static str), u64>,
 }
 
@@ -195,7 +165,6 @@ impl Prefilter {
             sigs: snids_sig::default_ruleset(),
             ngram: NgramScorer::new(config.ngram),
             sticky: HashSet::new(),
-            counters: LaneCounters::default(),
             rule_hits: BTreeMap::new(),
         }
     }
@@ -213,11 +182,6 @@ impl Prefilter {
     /// True when more than [`MAX_RULES`] header rules were supplied.
     pub fn header_truncated(&self) -> bool {
         self.header_truncated
-    }
-
-    /// Decision counters so far.
-    pub fn counters(&self) -> LaneCounters {
-        self.counters
     }
 
     /// Number of sources currently pinned sticky.
@@ -251,13 +215,11 @@ impl Prefilter {
     pub fn decide(&mut self, packet: &Packet, flow_buffered: bool) -> Decision {
         let payload = packet.payload();
         if payload.is_empty() {
-            self.counters.control += 1;
             self.record_hit("control", "empty-payload");
             return Decision::Escalate(Lane::Control);
         }
         let src = packet.ip().map(|ip| ip.src);
         if flow_buffered || src.map(|s| self.sticky.contains(&s)).unwrap_or(false) {
-            self.counters.sticky += 1;
             self.record_hit("sticky", "pinned-source");
             return Decision::Escalate(Lane::Sticky);
         }
@@ -285,19 +247,10 @@ impl Prefilter {
                 if let Some(s) = src {
                     self.sticky.insert(s);
                 }
-                match lane {
-                    Lane::Header => self.counters.header += 1,
-                    Lane::Signature => self.counters.signature += 1,
-                    Lane::Ngram => self.counters.ngram += 1,
-                    Lane::Control | Lane::Sticky => unreachable!("handled above"),
-                }
                 self.record_hit(lane.name(), rule);
                 Decision::Escalate(lane)
             }
-            None => {
-                self.counters.rejected += 1;
-                Decision::Reject
-            }
+            None => Decision::Reject,
         }
     }
 }
@@ -382,7 +335,7 @@ mod tests {
     fn counters_balance_against_decisions() {
         let mut pf = Prefilter::new(PrefilterConfig::default());
         let b = builder(6);
-        let mut n = 0u64;
+        let mut decisions = Vec::new();
         for (i, payload) in [
             &b"GET / HTTP/1.0\r\n\r\n"[..],
             &[0x90u8; 64][..],
@@ -393,12 +346,24 @@ mod tests {
         .enumerate()
         {
             let p = data(&b, 41000 + i as u16, payload);
-            pf.decide(&p, false);
-            n += 1;
+            decisions.push(pf.decide(&p, false));
         }
-        assert_eq!(pf.counters().total(), n);
-        assert_eq!(pf.counters().rejected, 1);
-        assert_eq!(pf.counters().escalated(), 3);
+        let mut lanes: Vec<&str> = decisions
+            .iter()
+            .filter_map(|d| match d {
+                Decision::Escalate(lane) => Some(lane.name()),
+                Decision::Reject => None,
+            })
+            .collect();
+        assert_eq!((decisions.len(), lanes.len()), (4, 3), "{decisions:?}");
+        // Each escalation is one rule hit, charged to the lane that
+        // decided it (hits come in lexical order).
+        lanes.sort_unstable();
+        let hit_lanes: Vec<&str> = pf
+            .rule_hits()
+            .flat_map(|(lane, _, n)| std::iter::repeat_n(lane, n as usize))
+            .collect();
+        assert_eq!(hit_lanes, lanes);
     }
 
     #[test]
@@ -422,10 +387,14 @@ mod tests {
         assert!(hits.contains(&("control", "empty-payload", 1)), "{hits:?}");
         assert!(hits.contains(&("ngram", "position-score", 1)), "{hits:?}");
         assert!(hits.contains(&("sticky", "pinned-source", 1)), "{hits:?}");
-        // Rejections are not rule hits; total hits == escalations.
-        pf.decide(&data(&builder(11), 40004, b"GET / HTTP/1.0\r\n\r\n"), false);
+        // Rejections are not rule hits: the four escalations above are
+        // all the hits.
+        assert_eq!(
+            pf.decide(&data(&builder(11), 40004, b"GET / HTTP/1.0\r\n\r\n"), false),
+            Decision::Reject
+        );
         let total: u64 = pf.rule_hits().map(|(_, _, n)| n).sum();
-        assert_eq!(total, pf.counters().escalated());
+        assert_eq!(total, 4);
         // Lexical (lane, rule) order: deterministic exposition.
         let keys: Vec<_> = pf.rule_hits().map(|(l, r, _)| (l, r)).collect();
         let mut sorted = keys.clone();

@@ -303,10 +303,14 @@ fn analyze(args: &[String]) -> ExitCode {
     let mut nids = Nids::new(config);
 
     // Live exposition: bind and serve *before* the replay starts, from a
-    // cloned (Arc-backed) registry handle, so a scraper watches counters,
-    // watermark transitions and budget gauges move mid-run. The serving
-    // thread blocks in `accept` for the life of the process, so it is not
-    // joined: serving stops when `main` returns after the results.
+    // cloned (Arc-backed) registry handle, so a scraper watches the
+    // registry's own measurements (stage events, bytes and latency,
+    // per-flow latency, the flight recorder, warnings) move mid-run. The
+    // ledger's counts and the budget and pool gauges live in the engine,
+    // which the replay holds, so they appear on the end-of-run page
+    // (`--metrics`) and in `--stats`, not here. The serving thread blocks
+    // in `accept` for the life of the process, so it is not joined:
+    // serving stops when `main` returns after the results.
     if let Some(addr) = metrics_listen {
         let server = match snids::obs::MetricsServer::bind(addr) {
             Ok(s) => s,

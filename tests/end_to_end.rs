@@ -188,7 +188,7 @@ fn classifier_ablation_copy_protected_binaries() {
     let downloads = snids::gen::traces::copy_protected_corpus(&mut rng, 8);
 
     // Host-style: analyze every payload directly.
-    let host_style = Nids::new(NidsConfig {
+    let mut host_style = Nids::new(NidsConfig {
         classification_enabled: false,
         ..NidsConfig::default()
     });

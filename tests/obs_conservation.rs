@@ -76,10 +76,10 @@ fn obs_counters_conserve_against_the_ledger_under_chaos() {
         "every capture event carries a latency sample"
     );
 
-    // Every drop reason in the ledger is mirrored, name for name and
-    // value for value; no reason is missing from the exposition.
+    // Every drop reason in the ledger is a row of the drop family, name
+    // for name and value for value; no reason is missing.
     for reason in DropReason::ALL {
-        let name = format!("drop.{}", reason.name());
+        let name = format!("snids_drops_total{{reason=\"{}\"}}", reason.name());
         let mirrored = snap
             .named
             .iter()
@@ -127,12 +127,194 @@ fn exposition_is_deterministic_and_escaped() {
     // Structural spot-checks on both formats.
     assert!(page.contains("snids_stage_events_total{stage=\"capture\"}"));
     assert!(page.contains("# TYPE snids_stage_latency_nanos summary"));
-    assert!(page.contains("drop.checksum_failed"));
+    assert!(page.contains("snids_drops_total{reason=\"checksum_failed\"}"));
+    // Every sample line is valid Prometheus exposition:
+    // `^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9]+$`.
+    for line in page.lines().filter(|l| !l.starts_with('#')) {
+        assert!(is_exposition_sample(line), "not exposition: {line}");
+    }
     assert!(json.starts_with('{') && json.ends_with('}'));
     assert!(json.contains("\"flight_recorder\""));
     // No raw control bytes may survive into either exposition format.
     assert!(!page.bytes().any(|b| b < 0x20 && b != b'\n'));
     assert!(!json.bytes().any(|b| b < 0x20));
+}
+
+/// True when `line` matches `^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9]+$`.
+fn is_exposition_sample(line: &str) -> bool {
+    let Some((series, value)) = line.rsplit_once(' ') else {
+        return false;
+    };
+    let (name, labels) = match series.split_once('{') {
+        Some((name, rest)) => (name, rest.strip_suffix('}')),
+        None => (series, Some("")),
+    };
+    let name_ok = name.chars().enumerate().all(|(i, c)| {
+        c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit())
+    });
+    !name.is_empty()
+        && name_ok
+        && labels.is_some_and(|l| !l.contains('}'))
+        && !value.is_empty()
+        && value.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// A sample line's series with its label values masked:
+/// `a{stage="x",le="1"} 5` becomes `a{stage=_,le=_}`.
+fn masked_series(line: &str) -> String {
+    let series = line.rsplit_once(' ').map_or(line, |(series, _)| series);
+    series
+        .split('"')
+        .enumerate()
+        .map(|(i, part)| if i % 2 == 1 { "_" } else { part })
+        .collect()
+}
+
+/// The leaf keys of a JSON document, nested keys joined by `.` and array
+/// elements marked `[]`, each once, in document order.
+fn flat_keys(value: &Value, path: &str, out: &mut Vec<String>) {
+    match value {
+        Value::Obj(members) => {
+            for (key, v) in members {
+                let path = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                flat_keys(v, &path, out);
+            }
+        }
+        Value::Arr(items) => {
+            for item in items {
+                flat_keys(item, &format!("{path}[]"), out);
+            }
+        }
+        _ => {
+            if !out.iter().any(|k| k == path) {
+                out.push(path.to_string());
+            }
+        }
+    }
+}
+
+/// The `--stats` JSON keys, flattened by [`flat_keys`].
+const STATS_KEYS: &[&str] = &[
+    "records_in",
+    "packets",
+    "processed",
+    "suspicious_packets",
+    "flows_analyzed",
+    "frames_extracted",
+    "frame_bytes",
+    "alerts",
+    "overlap_conflict_bytes",
+    "memory_limit_bytes",
+    "peak_tracked_bytes",
+    "degraded_flows",
+    "watermark_transitions",
+    "dataflow_frames",
+    "dataflow_recovered",
+    "dataflow_alt_views",
+    "prefilter.passed",
+    "prefilter.escalated",
+    "prefilter.rejected",
+    "prefilter.reject_ratio",
+    "prefilter.nanos",
+    "prefilter.lane_hits[].lane",
+    "prefilter.lane_hits[].rule",
+    "prefilter.lane_hits[].hits",
+    "drops.pcap_record_malformed",
+    "drops.pcap_record_truncated",
+    "drops.frame_undecodable",
+    "drops.checksum_failed",
+    "drops.defrag_cap_exceeded",
+    "drops.defrag_oversize",
+    "drops.defrag_timeout",
+    "drops.defrag_invalid",
+    "drops.defrag_incomplete",
+    "drops.flow_evicted",
+    "drops.stream_truncated",
+    "drops.decoder_bailout",
+    "drops.analysis_panicked",
+    "drops.dataflow_exhausted",
+    "drops.shed_analyzed",
+    "drops.shed_unanalyzed",
+    "drops.prefilter_rejected",
+    "drops_total",
+    "classify_nanos",
+    "reassembly_nanos",
+    "analysis_nanos",
+];
+
+/// The metric names on the end-of-run text page, label values masked, in
+/// page order.
+const METRIC_NAMES: &[&str] = &[
+    "snids_stage_events_total{stage=_}",
+    "snids_stage_bytes_total{stage=_}",
+    "snids_stage_latency_nanos{stage=_,quantile=_}",
+    "snids_stage_latency_nanos_sum{stage=_}",
+    "snids_stage_latency_nanos_count{stage=_}",
+    "snids_stage_latency_nanos_max{stage=_}",
+    "snids_stage_latency_hist_nanos_bucket{stage=_,le=_}",
+    "snids_stage_latency_hist_nanos_sum{stage=_}",
+    "snids_stage_latency_hist_nanos_count{stage=_}",
+    "snids_flow_latency_nanos{stage=_,outcome=_,quantile=_}",
+    "snids_flow_latency_nanos_sum{stage=_,outcome=_}",
+    "snids_flow_latency_nanos_count{stage=_,outcome=_}",
+    "snids_flow_latency_nanos_max{stage=_,outcome=_}",
+    "snids_flow_latency_tracked_flows",
+    "snids_alerts_total",
+    "snids_budget_limit_bytes",
+    "snids_budget_peak_bytes",
+    "snids_budget_pressure_level",
+    "snids_budget_tracked_bytes",
+    "snids_dataflow_alt_views_total",
+    "snids_dataflow_exhausted_total",
+    "snids_dataflow_frames_total",
+    "snids_dataflow_recovered_total",
+    "snids_drops_total{reason=_}",
+    "snids_flows_analyzed_total",
+    "snids_flows_degraded_total",
+    "snids_flows_protected",
+    "snids_flows_shed_total",
+    "snids_packets_total",
+    "snids_pool_busy_nanos_total{thread=_}",
+    "snids_pool_tasks_panicked_total",
+    "snids_pool_tasks_total{thread=_}",
+    "snids_pool_threads",
+    "snids_prefilter_escalated_total",
+    "snids_prefilter_lane_hits_total{lane=_,rule=_}",
+    "snids_prefilter_passed_total",
+    "snids_prefilter_rejected_total",
+    "snids_processed_total",
+    "snids_watermark_transitions_total",
+    "snids_warnings_total",
+    "snids_flight_recorder_events_total",
+    "snids_flight_recorder_capacity",
+];
+
+#[test]
+fn stats_keys_and_metric_names_are_pinned() {
+    // The outward surface on the chaos corpus: a key or metric renamed,
+    // added or dropped shows here.
+    let chaos = ChaosConfig {
+        flood_flows: 48,
+        ..ChaosConfig::with_rate(0.15)
+    };
+    let mut nids = observed_chaos_run(0xC0DE, &chaos);
+    let page = nids.metrics_page();
+    let stats = snids::obs::json::parse(&nids.stats().to_json()).expect("stats JSON parses");
+    let mut keys = Vec::new();
+    flat_keys(&stats, "", &mut keys);
+    let mut names: Vec<String> = Vec::new();
+    for line in page.lines().filter(|l| !l.starts_with('#')) {
+        let name = masked_series(line);
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    assert_eq!(keys, STATS_KEYS);
+    assert_eq!(names, METRIC_NAMES);
 }
 
 #[test]
